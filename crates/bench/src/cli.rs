@@ -1,10 +1,10 @@
-//! A tiny flag parser shared by the figure binaries (no external
-//! dependency needed for a handful of flags).
+//! A tiny flag parser shared by the experiments (no external dependency
+//! needed for a handful of flags).
 
 use crate::chaos::ChaosProfile;
 use std::path::PathBuf;
 
-/// Common figure-binary options.
+/// The flags every experiment shares.
 #[derive(Debug, Clone)]
 pub struct CliArgs {
     /// Shrink the sweep for CI / smoke runs.
@@ -50,12 +50,7 @@ impl Default for CliArgs {
 }
 
 impl CliArgs {
-    /// Parse `std::env::args`, exiting with usage on unknown flags.
-    pub fn parse() -> CliArgs {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parse from an explicit iterator (testable).
+    /// Parse the flags, exiting with usage on unknown ones.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> CliArgs {
         let mut out = CliArgs::default();
         let mut it = args.into_iter();
@@ -123,10 +118,11 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-fn usage(msg: &str) -> ! {
+/// Print `msg` and the shared usage line to stderr, then exit 2.
+pub(crate) fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: <bin> [--quick] [--full] [--seeds N] [--threads N] [--jobs N] [--window N] \
+        "usage: elision <experiment> [--quick] [--full] [--seeds N] [--threads N] [--jobs N] [--window N] \
          [--csv DIR] [--metrics DIR] [--chaos PROFILE]"
     );
     eprintln!("chaos profiles: {}", crate::chaos::ChaosProfile::ALL.map(|p| p.label()).join(", "));

@@ -1,30 +1,12 @@
-//! Merge per-binary `--metrics` JSON reports into one `BENCH_SUMMARY.json`.
-//!
-//! Usage: `bench_summary <DIR>` (defaults to `results`). Reads every
-//! `*.json` in the directory (except a previous summary), validates the
-//! schema, and writes `<DIR>/BENCH_SUMMARY.json` containing one entry per
-//! report — binary name, its config, its row count — plus an abort-cause
-//! histogram summed over every row of every report and a lint histogram
-//! summed over every row's static-analysis `findings` (the elision_lint
-//! report). Files are processed in sorted name order, so the summary is
-//! deterministic.
-//!
-//! `TIMING_<binary>.json` files (written by the sweep orchestrator) are
-//! merged separately into `TIMING_SUMMARY.json` — per-binary wall-clock
-//! milliseconds, host jobs and cell counts plus the sweep total. Wall
-//! time varies run to run, so the timing summary shares the `TIMING_`
-//! prefix the determinism gates exclude, and `BENCH_SUMMARY.json` itself
-//! stays byte-reproducible.
+//! Merging per-experiment reports into `BENCH_SUMMARY.json`.
 
+use super::Experiment;
+use crate::metrics::{parse, Json, SCHEMA_VERSION};
 use elision_analysis::LintId;
-use elision_bench::metrics::{parse, Json, SCHEMA_VERSION};
 use elision_sim::AbortCause;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::exit;
-
-const SUMMARY_NAME: &str = "BENCH_SUMMARY.json";
-const TIMING_SUMMARY_NAME: &str = "TIMING_SUMMARY.json";
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -96,8 +78,28 @@ fn validate(path: &Path, doc: &Json) -> (String, Json, Vec<Json>) {
     (binary, config, rows)
 }
 
-fn main() {
-    let dir = std::env::args().nth(1).map_or_else(|| PathBuf::from("results"), PathBuf::from);
+/// Merge per-experiment `--metrics` JSON reports into one `BENCH_SUMMARY.json`.
+///
+/// Usage: `elision bench_summary <DIR>` (defaults to `results`). Reads
+/// every `*.json` in the directory (except a previous summary), skips
+/// documents with a `kind` field (such as the perf gate's baseline),
+/// validates the schema, and writes `<DIR>/BENCH_SUMMARY.json`
+/// containing one entry per report — binary name, its config, its row
+/// count — plus an abort-cause histogram summed over every row of every
+/// report and a lint histogram summed over every row's static-analysis
+/// `findings` (the elision_lint report). Files are processed in sorted
+/// name order, so the summary is deterministic.
+///
+/// `TIMING_<binary>.json` files (written by the sweep orchestrator) are
+/// merged separately into `TIMING_SUMMARY.json` — per-binary wall-clock
+/// milliseconds, host jobs and cell counts plus the sweep total. Wall
+/// time varies run to run, so the timing summary shares the `TIMING_`
+/// prefix the determinism gates exclude, and `BENCH_SUMMARY.json` itself
+/// stays byte-reproducible.
+pub(super) fn bench_summary(exp: &'static Experiment, argv: Vec<String>) {
+    let summary_name = format!("{}.json", exp.report);
+    let timing_summary_name = format!("TIMING_{}.json", exp.timing);
+    let dir = argv.into_iter().next().map_or_else(|| PathBuf::from("results"), PathBuf::from);
     let entries = match fs::read_dir(&dir) {
         Ok(e) => e,
         Err(e) => fail(&format!("cannot read {}: {e}", dir.display())),
@@ -111,7 +113,7 @@ fn main() {
         let Some(name) = p.file_name().and_then(|n| n.to_str()).map(str::to_string) else {
             continue;
         };
-        if name == SUMMARY_NAME || name == TIMING_SUMMARY_NAME {
+        if name == summary_name || name == timing_summary_name {
             continue;
         }
         if name.starts_with("TIMING_") {
@@ -122,9 +124,6 @@ fn main() {
     }
     paths.sort();
     timing_paths.sort();
-    if paths.is_empty() {
-        fail(&format!("no metrics reports (*.json) found in {}", dir.display()));
-    }
 
     let mut reports = Vec::new();
     let mut total_rows = 0u64;
@@ -136,6 +135,12 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("reading {}: {e}", path.display())));
         let doc =
             parse(&text).unwrap_or_else(|e| fail(&format!("parsing {}: {e}", path.display())));
+        // Reports carry no `kind`; documents that do (the perf gate's
+        // `perf_baseline`, timing files) are not reports.
+        if let Some(kind) = doc.get("kind").and_then(Json::as_str) {
+            println!("skipped {} (kind {kind:?} is not a report)", path.display());
+            continue;
+        }
         let (binary, config, rows) = validate(path, &doc);
         for row in &rows {
             if let Some(causes) = row.get("abort_causes") {
@@ -192,6 +197,10 @@ fn main() {
         println!("merged {}", path.display());
     }
 
+    if reports.is_empty() {
+        fail(&format!("no metrics reports (*.json) found in {}", dir.display()));
+    }
+    let n_reports = reports.len();
     let summary = Json::obj(vec![
         ("schema_version", Json::Uint(SCHEMA_VERSION)),
         ("reports", Json::Arr(reports)),
@@ -236,10 +245,10 @@ fn main() {
             ]),
         ),
     ]);
-    let out = dir.join(SUMMARY_NAME);
+    let out = dir.join(&summary_name);
     fs::write(&out, summary.render())
         .unwrap_or_else(|e| fail(&format!("writing {}: {e}", out.display())));
-    println!("wrote {} ({} reports, {total_rows} rows)", out.display(), paths.len());
+    println!("wrote {} ({n_reports} reports, {total_rows} rows)", out.display());
 
     // Wall-clock trajectory: merged separately so the main summary stays
     // byte-reproducible run to run.
@@ -263,7 +272,7 @@ fn main() {
             ("binaries", Json::Arr(timing_entries)),
             ("total_wall_ms", Json::Uint(total_wall_ms)),
         ]);
-        let out = dir.join(TIMING_SUMMARY_NAME);
+        let out = dir.join(&timing_summary_name);
         fs::write(&out, timing_summary.render())
             .unwrap_or_else(|e| fail(&format!("writing {}: {e}", out.display())));
         println!("wrote {} ({n_binaries} binaries, {total_wall_ms} ms wall total)", out.display());

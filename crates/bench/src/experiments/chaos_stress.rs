@@ -1,26 +1,12 @@
-//! The chaos harness: sweep injected-fault intensity across schemes and
-//! locks, assert liveness and determinism, and print degradation curves.
-//!
-//! For every chaos profile the harness runs the red-black-tree benchmark
-//! at increasing fault intensity and checks three robustness properties
-//! that the figure binaries take for granted:
-//!
-//! 1. **Liveness**: every operation completes, and no single operation
-//!    needs an unbounded number of attempts (starvation watchdog).
-//! 2. **Determinism**: with `window == 0`, rerunning the same seed yields
-//!    the identical makespan, counters and injected-fault statistics.
-//! 3. **Hardening pays off**: under a sustained abort storm, the
-//!    circuit-breaker-enabled configuration out-performs the paper
-//!    configuration on a fair lock (the regime where naive elision
-//!    collapses into the lemming effect).
-//!
-//! The degradation curves (throughput and p99 completion cycles vs
-//! intensity) are printed as tables and optionally written as CSV.
+//! The chaos harness: degradation, liveness and determinism under
+//! injected faults.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{chaos::MAX_INTENSITY, run_tree_bench, ChaosProfile, CliArgs, TreeBenchSpec};
+use super::Driver;
+use crate::chaos::MAX_INTENSITY;
+use crate::metrics::Json;
+use crate::report::{f2, Table};
+use crate::sweep::Cell;
+use crate::{run_tree_bench, ChaosProfile, TreeBenchResult, TreeBenchSpec};
 use elision_core::{BreakerConfig, LockKind, SchemeConfig, SchemeKind};
 use elision_htm::HtmConfig;
 use elision_structures::OpMix;
@@ -40,10 +26,10 @@ fn spec_for(
 ) -> TreeBenchSpec {
     let (plan, htm_faults) = profile.at_intensity(level, 0xC4A0_5EED);
     let mut spec = TreeBenchSpec::new(scheme, lock, threads, 64, OpMix::MODERATE);
+    // The spec's default window of 0 makes the run (including the fault
+    // schedule) a pure function of the seeds, which the determinism
+    // check relies on.
     spec.ops_per_thread = ops;
-    // window == 0 makes the run (including the fault schedule) a pure
-    // function of the seeds, which the determinism check relies on.
-    spec.window = 0;
     spec.htm = HtmConfig::deterministic().with_faults(htm_faults);
     spec.scheme_cfg = SchemeConfig::hardened();
     spec.faults = plan;
@@ -51,7 +37,7 @@ fn spec_for(
 }
 
 /// Liveness + determinism for one cell; returns the (first) result.
-fn run_checked(spec: &TreeBenchSpec, what: &str) -> elision_bench::TreeBenchResult {
+fn run_checked(spec: &TreeBenchSpec, what: &str) -> TreeBenchResult {
     let r = run_tree_bench(spec);
     let total_ops = spec.ops_per_thread * spec.threads as u64;
     assert_eq!(
@@ -122,8 +108,26 @@ fn assert_breaker_pays_off(threads: usize, ops: u64) -> (f64, f64, u64) {
     (r_on.throughput, r_off.throughput, r_on.breaker_trips)
 }
 
-fn main() {
-    let args = CliArgs::parse();
+/// The chaos harness: sweep injected-fault intensity across schemes and
+/// locks, assert liveness and determinism, and print degradation curves.
+///
+/// For every chaos profile the harness runs the red-black-tree benchmark
+/// at increasing fault intensity and checks three robustness properties
+/// that the figure experiments take for granted:
+///
+/// 1. **Liveness**: every operation completes, and no single operation
+///    needs an unbounded number of attempts (starvation watchdog).
+/// 2. **Determinism**: with `window == 0`, rerunning the same seed yields
+///    the identical makespan, counters and injected-fault statistics.
+/// 3. **Hardening pays off**: under a sustained abort storm, the
+///    circuit-breaker-enabled configuration out-performs the paper
+///    configuration on a fair lock (the regime where naive elision
+///    collapses into the lemming effect).
+///
+/// The degradation curves (throughput and p99 completion cycles vs
+/// intensity) are printed as tables and optionally written as CSV.
+pub(super) fn chaos_stress(d: &mut Driver<'_>) {
+    let args = d.args;
     let ops: u64 = if args.quick { 120 } else { 400 };
     let threads = args.threads.min(if args.quick { 4 } else { 8 });
     let profiles: Vec<ChaosProfile> = if args.quick {
@@ -165,12 +169,9 @@ fn main() {
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("chaos_stress", sweep.jobs());
-    timing.absorb(&outcome);
+    let outcome = d.sweep(cells);
 
-    let mut report = MetricsReport::new("chaos_stress", &args);
+    let mut report = d.metrics();
     let mut next = outcome.results.iter();
     for profile in &profiles {
         let mut table = Table::new(&[
@@ -213,10 +214,7 @@ fn main() {
             }
         }
         println!("--- profile: {profile} ---");
-        table.print();
-        if let Some(dir) = &args.csv {
-            table.write_csv(dir, &format!("chaos_{profile}"));
-        }
+        d.table(&table, &format!("chaos_{profile}"));
         println!();
     }
     // Determinism (the nastiest profile, both lock families) and the
@@ -248,18 +246,14 @@ fn main() {
         }),
         Cell::new("breaker-payoff", threads, move || Some(assert_breaker_pays_off(threads, ops))),
     ];
-    let checks = sweep.run(check_cells);
-    timing.absorb(&checks);
+    let checks = d.sweep(check_cells);
     println!("determinism check: identical seeds reproduced identical runs (window=0)");
     let (on, off, trips) = checks.results[2].expect("breaker cell returns stats");
     println!(
         "breaker check (HLE-retries/MCS, permanent 95% storm): \
          on {on:.3} > off {off:.3} ops/kcycle, {trips} trips"
     );
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    d.finish(&report.to_json());
 
     println!("\nall chaos assertions passed");
 }

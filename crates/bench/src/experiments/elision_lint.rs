@@ -1,38 +1,14 @@
-//! Static elision advisor sweep: run the layout-aware lint passes over
-//! the structure × placement-policy × scheme matrix, assert the seeded
-//! findings, and cross-validate the static predictions against dynamic
-//! abort telemetry.
-//!
-//! Three cell families:
-//!
-//! - **matrix** cells run [`elision_analysis::advisor::advise`] alone.
-//!   Seeded-bad layouts (packed records, lock words co-resident with
-//!   data, lazily-subscribed schemes over data-dependent writes) MUST be
-//!   flagged with the expected lints; padded layouts under eager schemes
-//!   MUST report zero findings.
-//! - **capacity** cells lint the sorted list against a deliberately tiny
-//!   HTM line budget (flagged) and the default budget (clean), each
-//!   cross-checked against a dynamic run's capacity-abort count.
-//! - **xval** cells rebuild the advisor's exact layout, run a real
-//!   multi-threaded workload over it with per-strand conflict-line
-//!   telemetry, and assert that (a) every dynamic conflict abort lands
-//!   on an advisor-predicted hot line and (b) the abort-cause mix agrees
-//!   with the static verdict: a padded bucket-disjoint hash workload
-//!   aborts zero times, the same workload packed aborts on placement
-//!   alone, and a packed+lockco queue self-aborts on its lock line.
-//!
-//! With `--metrics DIR` the report is written as `ELISION_LINT.json`
-//! (schema-compatible with `bench_summary`). It contains no job counts
-//! or wall-clock data, so it is byte-identical across `--jobs` values;
-//! host timing goes to `TIMING_elision_lint.json`, which the determinism
-//! gates exclude.
+//! The static elision advisor sweep: layout-aware lint passes over the
+//! structure × placement-policy × scheme matrix, cross-validated against
+//! dynamic abort telemetry.
 
+use super::analysis::finding_json;
+use super::Driver;
+use crate::metrics::{Json, SCHEMA_VERSION};
+use crate::report::Table;
+use crate::sweep::Cell;
 use elision_analysis::advisor::{advise, AdvisorReport, AdvisorSpec};
 use elision_analysis::LintId;
-use elision_bench::metrics::{Json, SCHEMA_VERSION};
-use elision_bench::report::Table;
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
 use elision_core::{make_scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, MemoryBuilder, PlacementConfig, PlacementPolicy, Placer, Strand};
 use elision_sim::{AbortCause, ConflictLineHistogram, DetRng, OpCounters};
@@ -232,37 +208,7 @@ fn lint_labels(lints: &[LintId]) -> Json {
 }
 
 fn row_json(cell: &CellSpec, out: &CellOut, lines_in_hot: Option<bool>) -> Json {
-    let findings = out
-        .report
-        .findings
-        .iter()
-        .map(|f| {
-            Json::obj(vec![
-                ("lint", Json::Str(f.lint.label().to_string())),
-                ("message", Json::Str(f.message.clone())),
-                (
-                    "sites",
-                    Json::Arr(
-                        f.sites
-                            .iter()
-                            .map(|s| {
-                                Json::obj(vec![
-                                    ("tid", Json::Uint(s.tid as u64)),
-                                    ("var", s.var.map_or(Json::Null, |v| Json::Uint(u64::from(v)))),
-                                    (
-                                        "line",
-                                        s.line.map_or(Json::Null, |l| Json::Uint(u64::from(l))),
-                                    ),
-                                    ("time", Json::Uint(s.time)),
-                                    ("seq", Json::Uint(s.seq as u64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
+    let findings = out.report.findings.iter().map(|f| finding_json(f, None, true)).collect();
     let footprints = out
         .report
         .footprints
@@ -490,8 +436,36 @@ fn probe_cells() -> Vec<CellSpec> {
     cells
 }
 
-fn main() {
-    let args = CliArgs::parse();
+/// Static elision advisor sweep: run the layout-aware lint passes over
+/// the structure × placement-policy × scheme matrix, assert the seeded
+/// findings, and cross-validate the static predictions against dynamic
+/// abort telemetry.
+///
+/// Three cell families:
+///
+/// - **matrix** cells run [`elision_analysis::advisor::advise`] alone.
+///   Seeded-bad layouts (packed records, lock words co-resident with
+///   data, lazily-subscribed schemes over data-dependent writes) MUST be
+///   flagged with the expected lints; padded layouts under eager schemes
+///   MUST report zero findings.
+/// - **capacity** cells lint the sorted list against a deliberately tiny
+///   HTM line budget (flagged) and the default budget (clean), each
+///   cross-checked against a dynamic run's capacity-abort count.
+/// - **xval** cells rebuild the advisor's exact layout, run a real
+///   multi-threaded workload over it with per-strand conflict-line
+///   telemetry, and assert that (a) every dynamic conflict abort lands
+///   on an advisor-predicted hot line and (b) the abort-cause mix agrees
+///   with the static verdict: a padded bucket-disjoint hash workload
+///   aborts zero times, the same workload packed aborts on placement
+///   alone, and a packed+lockco queue self-aborts on its lock line.
+///
+/// With `--metrics DIR` the report is written as `ELISION_LINT.json`
+/// (schema-compatible with `bench_summary`). It contains no job counts
+/// or wall-clock data, so it is byte-identical across `--jobs` values;
+/// host timing goes to `TIMING_elision_lint.json`, which the determinism
+/// gates exclude.
+pub(super) fn elision_lint(d: &mut Driver<'_>) {
+    let args = d.args;
     println!("== Static elision advisor: structure x placement x scheme ==\n");
 
     let mut cells = matrix_cells(args.full);
@@ -513,10 +487,7 @@ fn main() {
         })
         .collect();
 
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(sweep_cells);
-    let mut timing = TimingLog::new("elision_lint", sweep.jobs());
-    timing.absorb(&outcome);
+    let outcome = d.sweep(sweep_cells);
 
     let mut rows: Vec<Json> = Vec::new();
     let mut table = Table::new(&["cell", "findings", "lints", "probe"]);
@@ -632,26 +603,19 @@ fn main() {
         cells.len()
     );
 
-    if let Some(dir) = &args.metrics {
-        let doc = Json::obj(vec![
-            ("schema_version", Json::Uint(SCHEMA_VERSION)),
-            ("binary", Json::Str("elision_lint".to_string())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("quick", Json::Bool(args.quick)),
-                    ("full", Json::Bool(args.full)),
-                    ("probe_iters", Json::Uint(PROBE_ITERS as u64)),
-                    ("probe_seed", Json::Uint(PROBE_SEED)),
-                ]),
-            ),
-            ("rows", Json::Arr(rows)),
-        ]);
-        std::fs::create_dir_all(dir).expect("creating metrics directory");
-        let path = dir.join("ELISION_LINT.json");
-        std::fs::write(&path, doc.render()).expect("writing ELISION_LINT.json");
-        eprintln!("wrote {}", path.display());
-        timing.write(dir);
-    }
+    d.finish(&Json::obj(vec![
+        ("schema_version", Json::Uint(SCHEMA_VERSION)),
+        ("binary", Json::Str(d.exp.name.to_string())),
+        (
+            "config",
+            Json::obj(vec![
+                ("quick", Json::Bool(args.quick)),
+                ("full", Json::Bool(args.full)),
+                ("probe_iters", Json::Uint(PROBE_ITERS as u64)),
+                ("probe_seed", Json::Uint(PROBE_SEED)),
+            ]),
+        ),
+        ("rows", Json::Arr(rows)),
+    ]));
     println!("\nall elision-lint assertions passed");
 }

@@ -1,32 +1,10 @@
-//! perf_gate — the simulated-ops/sec performance trajectory gate.
-//!
-//! Runs the standard scheme × lock sweep (Standard/HLE/HLE+SCM/Opt-SLR
-//! over TTAS and MCS) through the sweep orchestrator and splits its output
-//! into two deliberately separate artifacts:
-//!
-//! * `BENCH_SIM_HOTPATH.json` (`--metrics DIR`): the *deterministic*
-//!   per-cell metrics — simulated throughput, makespan, attempts and
-//!   abort causes. A pure function of the specs, byte-identical at any
-//!   `--jobs` value; CI diffs a `--jobs 4` run against `--jobs 1`.
-//! * host-wall-clock **simulated ops/sec** (simulated operations
-//!   completed per host second, summed over per-cell wall times so the
-//!   figure is independent of sweep-level parallelism; best of `--reps`
-//!   sweep repetitions, default 3, to shed OS scheduling noise):
-//!   inherently nondeterministic, so it is *never* written into the
-//!   metrics file. It is compared against the tracked baseline instead.
-//!
-//! The tracked baseline lives at `results/BENCH_SIM_HOTPATH_BASELINE.json`
-//! (override with `--baseline PATH`). The gate fails (exit 1) when the
-//! measured ops/sec drops below `tolerance_frac` (0.75 = a >25% drop) of
-//! the blessed figure; `--bless` refreshes the baseline instead of
-//! comparing, appending the measurement to the file's `history` array
-//! (label it with `--label NAME`) so the perf trajectory across hot-path
-//! work stays on record. See EXPERIMENTS.md for the update procedure.
+//! The simulated-ops/sec perf gate.
 
-use elision_bench::metrics::{parse, Json, MetricsReport, SCHEMA_VERSION};
-use elision_bench::report::{f2, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_tree_bench_avg, CliArgs, TreeBenchSpec};
+use super::{Driver, Experiment};
+use crate::metrics::{parse, Json, SCHEMA_VERSION};
+use crate::report::{f2, Table};
+use crate::sweep::{Cell, SweepOutcome};
+use crate::{run_tree_bench_avg, CliArgs, TreeBenchSpec};
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::OpMix;
 use std::path::PathBuf;
@@ -36,7 +14,7 @@ use std::path::PathBuf;
 /// CI runners, tight enough to catch a real hot-path regression.
 const TOLERANCE_FRAC: f64 = 0.75;
 
-/// Flags specific to this binary, peeled off before the shared parser
+/// Flags specific to this experiment, peeled off before the shared parser
 /// (which exits on flags it does not know) sees the command line.
 struct GateArgs {
     bless: bool,
@@ -57,7 +35,7 @@ struct GateArgs {
     rest: Vec<String>,
 }
 
-fn parse_gate_args() -> GateArgs {
+fn parse_gate_args(argv: Vec<String>) -> GateArgs {
     let mut out = GateArgs {
         bless: false,
         no_gate: false,
@@ -66,7 +44,7 @@ fn parse_gate_args() -> GateArgs {
         baseline: PathBuf::from("results/BENCH_SIM_HOTPATH_BASELINE.json"),
         rest: Vec::new(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--bless" => out.bless = true,
@@ -98,9 +76,34 @@ fn parse_gate_args() -> GateArgs {
     out
 }
 
-fn main() {
-    let gate = parse_gate_args();
+/// perf_gate — the simulated-ops/sec performance trajectory gate.
+///
+/// Runs the standard scheme × lock sweep (Standard/HLE/HLE+SCM/Opt-SLR
+/// over TTAS and MCS) through the sweep orchestrator and splits its output
+/// into two deliberately separate artifacts:
+///
+/// * `BENCH_SIM_HOTPATH.json` (`--metrics DIR`): the *deterministic*
+///   per-cell metrics — simulated throughput, makespan, attempts and
+///   abort causes. A pure function of the specs, byte-identical at any
+///   `--jobs` value; CI diffs a `--jobs 4` run against `--jobs 1`.
+/// * host-wall-clock **simulated ops/sec** (simulated operations
+///   completed per host second, summed over per-cell wall times so the
+///   figure is independent of sweep-level parallelism; best of `--reps`
+///   sweep repetitions, default 3, to shed OS scheduling noise):
+///   inherently nondeterministic, so it is *never* written into the
+///   metrics file. It is compared against the tracked baseline instead.
+///
+/// The tracked baseline lives at `results/BENCH_SIM_HOTPATH_BASELINE.json`
+/// (override with `--baseline PATH`). The gate fails (exit 1) when the
+/// measured ops/sec drops below `tolerance_frac` (0.75 = a >25% drop) of
+/// the blessed figure; `--bless` refreshes the baseline instead of
+/// comparing, appending the measurement to the file's `history` array
+/// (label it with `--label NAME`) so the perf trajectory across hot-path
+/// work stays on record. See EXPERIMENTS.md for the update procedure.
+pub(super) fn perf_gate(exp: &'static Experiment, argv: Vec<String>) {
+    let gate = parse_gate_args(argv);
     let args = CliArgs::parse_from(gate.rest.clone());
+    let mut d = Driver::new(exp, &args);
     let ops = if args.quick { 150 } else { 400 };
     let size = 512;
 
@@ -132,25 +135,23 @@ fn main() {
     // Best-of-N: keep the repetition with the lowest total wall time (the
     // results themselves are deterministic, so any rep's outcome carries
     // the same metrics — only the wall-clock side differs).
-    fn total_wall<T>(o: &elision_bench::sweep::SweepOutcome<T>) -> u64 {
+    fn total_wall<T>(o: &SweepOutcome<T>) -> u64 {
         o.timings.iter().map(|t| t.wall_ms).sum()
     }
-    let sweep = Sweep::from_args(&args);
-    let mut outcome = sweep.run(build_cells());
+    let mut outcome = d.pool.run(build_cells());
     for _ in 1..gate.reps {
-        let rerun = sweep.run(build_cells());
+        let rerun = d.pool.run(build_cells());
         if total_wall(&rerun) < total_wall(&outcome) {
             outcome = rerun;
         }
     }
-    let mut timing = TimingLog::new("perf_gate", sweep.jobs());
-    timing.absorb(&outcome);
+    d.timing.absorb(&outcome);
 
     // Deterministic metrics: one row per cell, byte-identical across
     // --jobs (the sweep merges in canonical order; nothing wall-clock
     // based goes in here).
     let mut table = Table::new(&["scheme", "lock", "sim-throughput", "attempts/op", "wall-ms"]);
-    let mut report = MetricsReport::new("BENCH_SIM_HOTPATH", &args);
+    let mut report = d.metrics();
     let mut total_sim_ops = 0u64;
     let mut total_wall_ms = 0u64;
     for ((scheme, lock, r), t) in outcome.results.iter().zip(&outcome.timings) {
@@ -172,14 +173,8 @@ fn main() {
         total_sim_ops += r.counters.completed();
         total_wall_ms += t.wall_ms;
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "perf_gate");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    d.table(&table, "perf_gate");
+    d.finish(&report.to_json());
 
     // Simulated ops/sec: completed simulated operations per host second,
     // over the *sum* of per-cell wall times so `--jobs` does not change
@@ -192,7 +187,7 @@ fn main() {
     );
 
     if gate.bless {
-        bless(&gate, &args, ops_per_sec);
+        bless(&gate, &args, exp.name, ops_per_sec);
         return;
     }
     if gate.no_gate {
@@ -203,7 +198,7 @@ fn main() {
 }
 
 /// Write (or refresh) the tracked baseline, appending to its history.
-fn bless(gate: &GateArgs, args: &CliArgs, ops_per_sec: f64) {
+fn bless(gate: &GateArgs, args: &CliArgs, name: &str, ops_per_sec: f64) {
     let history = match std::fs::read_to_string(&gate.baseline) {
         Ok(text) => {
             let doc = parse(&text).expect("existing baseline must parse");
@@ -219,7 +214,7 @@ fn bless(gate: &GateArgs, args: &CliArgs, ops_per_sec: f64) {
     let doc = Json::obj(vec![
         ("schema_version", Json::Uint(SCHEMA_VERSION)),
         ("kind", Json::Str("perf_baseline".to_string())),
-        ("binary", Json::Str("perf_gate".to_string())),
+        ("binary", Json::Str(name.to_string())),
         (
             "config",
             Json::obj(vec![

@@ -1,33 +1,33 @@
-//! Open-loop sharded service benchmark: tail latency under arriving
+//! The open-loop sharded service benchmark: tail latency under arriving
 //! traffic.
-//!
-//! Sweeps scheme × shard-count × load-scenario cells of the
-//! [`elision_service`] engine: Poisson arrivals with Zipf key skew over
-//! a sharded key-value/queue service, each request's latency measured
-//! from its *scheduled arrival* (queueing delay included — no
-//! coordinated omission). Emits a deterministic `SERVICE.json` with
-//! p50/p90/p99/p999 tail percentiles, CDF rows, and per-shard/per-phase
-//! telemetry; byte-identical at any `--jobs`.
-//!
-//! The binary asserts the open-loop lemming-effect story end to end: the
-//! plain-HLE storm cell must show *both* a lock-word-conflict spike and
-//! a p999 blowup relative to its steady cell, and the burst cell (same
-//! mean load as steady) must raise the tail — the signature a
-//! closed-loop harness cannot see.
 
-use elision_bench::metrics::MetricsReport;
-use elision_bench::report::{f2, Table};
-use elision_bench::servicebench::{
-    run_service_avg, service_grid, service_row, LoadScenario, ServiceCell,
-};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
+use super::Driver;
+use crate::metrics::MetricsReport;
+use crate::report::{f2, Table};
+use crate::servicebench::{run_service_avg, service_grid, service_row, LoadScenario, ServiceCell};
+use crate::sweep::Cell;
 use elision_core::SchemeKind;
 use elision_service::ServiceResult;
 use elision_sim::AbortCause;
 
-fn main() {
-    let args = CliArgs::parse();
+/// Open-loop sharded service benchmark: tail latency under arriving
+/// traffic.
+///
+/// Sweeps scheme × shard-count × load-scenario cells of the
+/// [`elision_service`] engine: Poisson arrivals with Zipf key skew over
+/// a sharded key-value/queue service, each request's latency measured
+/// from its *scheduled arrival* (queueing delay included — no
+/// coordinated omission). Emits a deterministic `SERVICE.json` with
+/// p50/p90/p99/p999 tail percentiles, CDF rows, and per-shard/per-phase
+/// telemetry; byte-identical at any `--jobs`.
+///
+/// It asserts the open-loop lemming-effect story end to end: the
+/// plain-HLE storm cell must show *both* a lock-word-conflict spike and
+/// a p999 blowup relative to its steady cell, and the burst cell (same
+/// mean load as steady) must raise the tail — the signature a
+/// closed-loop harness cannot see.
+pub(super) fn service_bench(d: &mut Driver<'_>) {
+    let args = d.args;
     let grid = service_grid(args.quick, args.full);
 
     println!("== Open-loop sharded service: tail latency under arriving traffic ==");
@@ -38,23 +38,34 @@ fn main() {
         args.window
     );
 
-    let cells: Vec<Cell<'_, (ServiceCell, ServiceResult)>> = grid
+    let (results, table, report) = service_sweep(d, &grid);
+    d.table(&table, "service_bench");
+    d.finish(&report.to_json());
+
+    assert_storm_correlation(&results);
+    println!(
+        "\nOpen-loop shape check: the plain-HLE storm cell spikes lock-word \
+         conflicts and p999 together; the burst cell moves only the tail \
+         (same mean load as steady)."
+    );
+}
+
+/// Sweep `grid` at the driver's `--quick`, `--window` and `--seeds`, and
+/// render the results as the service table and the `SERVICE` report.
+pub fn service_sweep(
+    d: &mut Driver<'_>,
+    grid: &[ServiceCell],
+) -> (Vec<(ServiceCell, ServiceResult)>, Table, MetricsReport) {
+    let args = d.args;
+    let cells = grid
         .iter()
         .map(|cell| {
-            let cell = cell.clone();
-            let quick = args.quick;
-            let window = args.window;
-            let seeds = args.seeds;
             Cell::new(cell.key(), cell.workers(), move || {
-                let r = run_service_avg(&cell, quick, window, seeds);
-                (cell, r)
+                (cell.clone(), run_service_avg(cell, args.quick, args.window, args.seeds))
             })
         })
         .collect();
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("SERVICE", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = d.sweep(cells).results;
 
     let mut table = Table::new(&[
         "scheme",
@@ -68,8 +79,8 @@ fn main() {
         "p999",
         "lockword-aborts",
     ]);
-    let mut report = MetricsReport::new("SERVICE", &args);
-    for (cell, r) in &outcome.results {
+    let mut report = d.metrics();
+    for (cell, r) in &results {
         table.row(vec![
             cell.scheme.label().to_string(),
             cell.lock.label().to_string(),
@@ -84,21 +95,7 @@ fn main() {
         ]);
         report.push_row(service_row(cell, r));
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "service_bench");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
-
-    assert_storm_correlation(&outcome.results);
-    println!(
-        "\nOpen-loop shape check: the plain-HLE storm cell spikes lock-word \
-         conflicts and p999 together; the burst cell moves only the tail \
-         (same mean load as steady)."
-    );
+    (results, table, report)
 }
 
 /// The acceptance assertions: lemming storms must be visible as

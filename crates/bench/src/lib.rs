@@ -1,17 +1,19 @@
-//! Shared measurement pipeline for the figure-regeneration binaries.
+//! Shared measurement pipeline behind the `elision` binary.
 //!
-//! Each `fig*` binary in `src/bin/` regenerates one figure of the paper:
-//! it sweeps the figure's parameter grid, runs the simulated benchmark,
-//! and prints the same rows/series the paper plots (plus optional CSV).
-//! This library holds the common pieces: the red-black-tree and
-//! hash-table benchmark drivers (fill phase + measured phase), seed
-//! averaging, speedup computation, table printing and a tiny CLI parser.
+//! Each entry of the [`experiments`] registry regenerates one figure of
+//! the paper, one ablation or one verification gate: it sweeps its
+//! parameter grid, runs the simulated benchmark, and prints the same
+//! rows/series the paper plots (plus optional CSV and JSON). This
+//! library holds the common pieces: the red-black-tree and hash-table
+//! benchmark drivers (fill phase + measured phase), seed averaging,
+//! speedup computation, table printing and a tiny CLI parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod cli;
+pub mod experiments;
 pub mod metrics;
 pub mod report;
 pub mod servicebench;
@@ -28,11 +30,6 @@ pub use treebench::{
 
 /// The paper's thread-count maximum (4 cores x 2 hyperthreads).
 pub const PAPER_THREADS: usize = 8;
-
-/// Default scheduler lag window for benchmark runs: small relative to
-/// transaction begin/commit costs so critical sections genuinely overlap
-/// in logical time.
-pub const BENCH_WINDOW: u64 = 16;
 
 /// Tree-size sweep used by the spectrum figures (the paper sweeps
 /// 2..512K; the simulator covers the same dynamic range with a cap chosen

@@ -1,6 +1,6 @@
-//! Deterministic JSON metrics emission for the figure binaries.
+//! Deterministic JSON metrics emission for the experiments.
 //!
-//! Every figure binary accepts `--metrics DIR` and drops a
+//! Every experiment accepts `--metrics DIR` and drops a
 //! `<DIR>/<binary>.json` report next to its CSVs. The schema is fixed:
 //!
 //! ```text
@@ -26,8 +26,6 @@ use crate::cli::CliArgs;
 use crate::treebench::TreeBenchResult;
 use elision_sim::AbortCause;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
 /// A JSON value. Objects are insertion-ordered key/value pairs so that
 /// serialization is deterministic.
@@ -406,18 +404,6 @@ impl MetricsReport {
             ("config", self.config.clone()),
             ("rows", Json::Arr(self.rows.clone())),
         ])
-    }
-
-    /// Write the report to `dir/<binary>.json` (creating `dir`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors (benchmark binaries fail loudly).
-    pub fn write(&self, dir: &Path) {
-        fs::create_dir_all(dir).expect("creating metrics directory");
-        let path = dir.join(format!("{}.json", self.binary));
-        fs::write(&path, self.to_json().render()).expect("writing metrics JSON");
-        eprintln!("wrote {}", path.display());
     }
 }
 

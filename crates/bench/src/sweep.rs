@@ -1,6 +1,6 @@
-//! Parallel deterministic sweep orchestration for the figure binaries.
+//! Parallel deterministic sweep orchestration for the experiments.
 //!
-//! Every figure/ablation binary sweeps a grid of scheme × lock × threads
+//! Every figure/ablation experiment sweeps a grid of scheme × lock × threads
 //! × size × seed cells, and every cell is an *independent* deterministic
 //! simulation: with lag window 0 its result is a pure function of its
 //! spec. That makes the harness embarrassingly parallel at the cell
@@ -273,7 +273,7 @@ impl TimingLog {
     ///
     /// # Panics
     ///
-    /// Panics on I/O errors (benchmark binaries fail loudly).
+    /// Panics on I/O errors (experiments fail loudly).
     pub fn write(&self, dir: &Path) {
         std::fs::create_dir_all(dir).expect("creating metrics directory");
         let path = dir.join(format!("TIMING_{}.json", self.binary));

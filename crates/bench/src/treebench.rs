@@ -60,7 +60,7 @@ impl TreeBenchSpec {
             size,
             mix,
             ops_per_thread: 1000,
-            window: crate::BENCH_WINDOW,
+            window: 0,
             htm: HtmConfig::haswell(),
             seed: 42,
             slot_cycles: None,
@@ -404,7 +404,6 @@ mod tests {
     fn tiny_spec(scheme: SchemeKind, lock: LockKind) -> TreeBenchSpec {
         let mut s = TreeBenchSpec::new(scheme, lock, 2, 32, OpMix::MODERATE);
         s.ops_per_thread = 50;
-        s.window = 0;
         s.htm = HtmConfig::deterministic();
         s
     }

@@ -5,7 +5,7 @@
 //! *byte-identical* to what the original `HashSet`/`HashMap` +
 //! broadcast-wakeup implementation produced. These tests pin that promise
 //! to hashes captured from the pre-rewrite binaries: they run the real
-//! figure binaries (via `CARGO_BIN_EXE_*`) into a scratch directory and
+//! experiments (via `CARGO_BIN_EXE_elision`) into a scratch directory and
 //! compare an FNV-1a hash of each deterministic artifact (wall-clock
 //! `TIMING_*.json` files are excluded, as in the CI determinism gates).
 //!
@@ -53,13 +53,15 @@ impl Drop for Scratch {
     }
 }
 
-fn run_binary(exe: &str, args: &[&str]) {
-    let status = Command::new(exe)
+/// Run `elision <experiment> <args>`, discarding stdout.
+fn run_experiment(experiment: &str, args: &[&str]) {
+    let status = Command::new(env!("CARGO_BIN_EXE_elision"))
+        .arg(experiment)
         .args(args)
         .stdout(std::process::Stdio::null())
         .status()
-        .unwrap_or_else(|e| panic!("spawning {exe}: {e}"));
-    assert!(status.success(), "{exe} {args:?} exited with {status}");
+        .unwrap_or_else(|e| panic!("spawning elision {experiment}: {e}"));
+    assert!(status.success(), "elision {experiment} {args:?} exited with {status}");
 }
 
 fn assert_golden(dir: &Path, name: &str, want: u64) {
@@ -78,8 +80,8 @@ fn assert_golden(dir: &Path, name: &str, want: u64) {
 fn fig2_quick_artifacts_match_pre_rewrite_goldens() {
     let scratch = Scratch::new("fig2");
     let dir = scratch.0.to_str().expect("utf-8 scratch path");
-    run_binary(
-        env!("CARGO_BIN_EXE_fig2_lemming"),
+    run_experiment(
+        "fig2_lemming",
         &["--quick", "--seeds", "1", "--jobs", "2", "--csv", dir, "--metrics", dir],
     );
     assert_golden(&scratch.0, "fig2_lemming.csv", GOLDEN_FIG2_CSV);
@@ -96,8 +98,8 @@ fn perf_gate_metrics_match_pre_rewrite_goldens() {
     // on (or writes to) the tracked baseline: only the deterministic
     // metrics file matters here.
     let baseline = scratch.0.join("baseline.json");
-    run_binary(
-        env!("CARGO_BIN_EXE_perf_gate"),
+    run_experiment(
+        "perf_gate",
         &[
             "--quick",
             "--seeds",
@@ -124,7 +126,7 @@ fn perf_gate_metrics_match_pre_rewrite_goldens() {
 fn modelcheck_quick_artifact_matches_pre_rewrite_golden() {
     let scratch = Scratch::new("mc");
     let dir = scratch.0.to_str().expect("utf-8 scratch path");
-    run_binary(env!("CARGO_BIN_EXE_model_check"), &["--quick", "--jobs", "2", "--metrics", dir]);
+    run_experiment("model_check", &["--quick", "--jobs", "2", "--metrics", dir]);
     assert_golden(&scratch.0, "MODELCHECK.json", GOLDEN_MODELCHECK_JSON);
 }
 

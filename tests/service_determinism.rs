@@ -1,5 +1,5 @@
-//! Determinism gate for the open-loop service sweep: the rendered
-//! `SERVICE.json` must be byte-identical whether the sweep runs its
+//! Determinism gate for the open-loop service sweep: the rendered table
+//! and `SERVICE.json` must be byte-identical whether the sweep runs its
 //! cells sequentially (`--jobs 1`) or on a four-worker host pool
 //! (`--jobs 4`). Host parallelism is a scheduling detail; the simulated
 //! runs inside each cell never observe it, and the orchestrator merges
@@ -9,35 +9,19 @@
 //! scenario with the same total expected arrivals as steady load must
 //! produce a strictly higher p999 (the mean hides what the tail shows).
 
-use elision_bench::metrics::MetricsReport;
-use elision_bench::servicebench::{
-    run_service_avg, service_grid, service_row, LoadScenario, ServiceCell,
-};
-use elision_bench::sweep::{Cell, Sweep};
+use elision_bench::experiments::{find, service::service_sweep, Driver};
+use elision_bench::servicebench::{run_service_avg, service_grid, LoadScenario, ServiceCell};
 use elision_bench::CliArgs;
 use elision_core::{LockKind, SchemeKind};
-use elision_service::ServiceResult;
 use proptest::prelude::*;
 
-/// Run `cells` through the sweep at host parallelism `jobs` and render
-/// the full SERVICE metrics report to its artifact bytes.
-fn render_service_report(cells: &[ServiceCell], jobs: usize, window: u64, seeds: u64) -> String {
-    let sweep_cells: Vec<Cell<'_, (ServiceCell, ServiceResult)>> = cells
-        .iter()
-        .map(|cell| {
-            let cell = cell.clone();
-            Cell::new(cell.key(), cell.workers(), move || {
-                let r = run_service_avg(&cell, true, window, seeds);
-                (cell, r)
-            })
-        })
-        .collect();
-    let outcome = Sweep::new(jobs).run(sweep_cells);
-    let mut report = MetricsReport::new("SERVICE", &CliArgs::default());
-    for (cell, r) in &outcome.results {
-        report.push_row(service_row(cell, r));
-    }
-    report.to_json().render()
+/// Run `cells` through the `service_bench` sweep at host parallelism
+/// `jobs` and render its table and SERVICE metrics report.
+fn render_service_report(cells: &[ServiceCell], jobs: usize, seeds: u64) -> (String, String) {
+    let args = CliArgs { quick: true, jobs, seeds, window: 0, ..CliArgs::default() };
+    let mut d = Driver::new(find("service_bench").expect("registered"), &args);
+    let (_, table, report) = service_sweep(&mut d, cells);
+    (table.render(), report.to_json().render())
 }
 
 proptest! {
@@ -55,9 +39,9 @@ proptest! {
     ) {
         let grid = service_grid(true, false);
         let cells = &grid[start..(start + 3).min(grid.len())];
-        let sequential = render_service_report(cells, 1, 0, seeds);
-        let pooled = render_service_report(cells, 4, 0, seeds);
-        prop_assert_eq!(sequential, pooled, "SERVICE.json differs between --jobs 1 and --jobs 4");
+        let sequential = render_service_report(cells, 1, seeds);
+        let pooled = render_service_report(cells, 4, seeds);
+        prop_assert_eq!(sequential, pooled, "service output differs between --jobs 1 and --jobs 4");
     }
 }
 
