@@ -1,6 +1,11 @@
 //! End-to-end sanitize mode: run one scheme × lock cell of the paper's
-//! matrix with the sanitizer log and per-thread traces enabled, then
-//! feed the logs through all three analysis passes.
+//! matrix with the sanitizer log enabled, then feed the log through
+//! every analysis pass.
+//!
+//! [`analyze_run`] is the one pass pipeline: race, opacity, lint and
+//! residual-bit checks over a finished run's [`SanLog`]. The sanitize
+//! cells here, the model checker's cells and the seeded fixtures in
+//! [`crate::testkit`] all go through it.
 //!
 //! The workload is a shared counter plus a small array of contended
 //! words, all mutated through [`elision_core::Scheme::execute`] — small
@@ -8,22 +13,24 @@
 //! enough that every path (speculation, retries, fallback, SCM
 //! auxiliary serialization) is exercised. The run uses scheduler window
 //! 0 (the strict deterministic interleaving): that is what makes the
-//! sanitizer log's append order the execution order, which both the
-//! race and opacity passes rely on.
+//! sanitizer log's append order the execution order, which every pass
+//! relies on.
 //!
 //! Note the cell runs under [`SchemeConfig::paper`] plus the sanitize
 //! flag — deliberately *without* the speculation circuit breaker: the
 //! breaker's lockdown path takes the main lock directly (bypassing the
 //! SCM auxiliary handshake), which is a deliberate liveness/discipline
 //! trade-off the lint pass would rightly flag.
+//!
+//! [`SanLog`]: elision_htm::SanLog
 
-use crate::lint::{lint_trace, LintConfig};
+use crate::lint::{lint_log, LintConfig};
 use crate::opacity::{check_opacity, OpacityConfig, OpacityPolicy};
 use crate::race::{detect_races, RaceConfig};
 use crate::{AccessSite, Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, HtmConfig, MemoryBuilder, VarId};
-use elision_sim::{FaultPlan, GlobalTrace};
+use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, SanAccess, SanEvent, VarId};
+use elision_sim::FaultPlan;
 use std::sync::Arc;
 
 /// Number of contended data words in the workload array.
@@ -70,7 +77,8 @@ pub struct SanReport {
     pub findings: Vec<Finding>,
     /// Word-level sanitizer events analysed.
     pub san_events: usize,
-    /// Protocol-level trace events analysed.
+    /// Protocol events (transaction lifecycle, lock transitions,
+    /// markers) among the sanitizer events: what the lint pass reads.
     pub trace_events: usize,
     /// Final value of the shared counter.
     pub hot_total: u64,
@@ -114,76 +122,52 @@ pub fn lint_config_for(scheme: &Scheme, threads: usize) -> LintConfig {
     }
 }
 
-/// Run one cell under the sanitizer and analyse its logs.
+/// Build the [`RaceConfig`] describing `mem`'s layout.
+pub fn race_cfg(mem: &Memory, threads: usize) -> RaceConfig {
+    RaceConfig {
+        threads,
+        words_per_line: mem.words_per_line() as u32,
+        lock_lines: (0..mem.line_count()).map(|l| mem.is_lock_line(l as u32)).collect(),
+    }
+}
+
+/// One finished run's sanitizer log and everything the passes found in
+/// it. Every finding's sites are coordinates in `log`: a site's `seq`
+/// indexes the event it points at, except end-of-run and residual-bit
+/// sites, which sit at `log.len()`.
+#[derive(Debug)]
+pub struct RunAnalysis {
+    /// The sanitizer log, in execution order.
+    pub log: Vec<SanEvent>,
+    /// What the race, opacity, lint and residual-bit passes found.
+    pub findings: Vec<Finding>,
+}
+
+/// Run the race, opacity, lint and residual-bit passes over the
+/// sanitizer log of a finished run on `mem`.
+///
+/// `lint` also names the run's thread count and the main lock the
+/// opacity pass watches; `makespan` is the time residual-bit findings
+/// carry.
 ///
 /// # Panics
 ///
-/// Panics if a trace ring overflowed (the rings are sized so this
-/// cannot happen for sane `ops_per_thread`) — lints over a truncated
-/// trace would be unsound, so this fails loudly instead.
-pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
-    let mut b = MemoryBuilder::new();
-    b.enable_sanitizer();
-    let mut cfg = SchemeConfig::paper();
-    cfg.sanitize = true;
-    let scheme = make_scheme(spec.scheme, spec.lock, cfg, &mut b, spec.threads);
-    let hot = b.alloc_isolated(0);
-    let targets: Vec<VarId> = (0..TARGETS).map(|_| b.alloc_isolated(0)).collect();
-    let mem = Arc::new(b.freeze(spec.threads));
-
-    let (rings, makespan, _faults) = {
-        let scheme = Arc::clone(&scheme);
-        let targets = targets.clone();
-        let ops = spec.ops_per_thread;
-        // Each op logs a handful of protocol events even through the
-        // retry/fallback paths; 64 entries per op is far beyond worst
-        // case, so dropped() == 0 is guaranteed for sane op counts.
-        let ring_capacity = (ops * 64).max(1024);
-        harness::run_arc_faulted(
-            spec.threads,
-            0, // strict window: log order == execution order
-            spec.htm,
-            spec.seed,
-            spec.faults,
-            Arc::clone(&mem),
-            move |s| {
-                s.enable_trace(ring_capacity);
-                for _ in 0..ops {
-                    let t = s.rng.below(TARGETS as u64) as usize;
-                    let target = targets[t];
-                    scheme.execute(s, |s| {
-                        let h = s.load(hot)?;
-                        let v = s.load(target)?;
-                        s.store(target, v + 1)?;
-                        s.store(hot, h + 1)?;
-                        Ok(())
-                    });
-                }
-                s.trace.take().expect("trace enabled above")
-            },
-        )
-    };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow ring_capacity");
-
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let race_cfg = RaceConfig {
-        threads: spec.threads,
-        words_per_line: mem.words_per_line() as u32,
-        lock_lines: (0..mem.line_count()).map(|l| mem.is_lock_line(l as u32)).collect(),
-    };
-    let opacity_cfg = OpacityConfig {
-        policy: policy_for(spec.scheme),
-        main_lock: Some(scheme.main_lock().lock_word().index()),
-    };
-
-    let mut findings = detect_races(&race_cfg, &events);
-    findings.extend(check_opacity(&opacity_cfg, san.initial_values(), &events));
-    findings.extend(lint_trace(&lint_config_for(&scheme, spec.threads), &trace));
-
+/// Panics if `mem` was built without the sanitizer.
+pub fn analyze_run(
+    mem: &Memory,
+    policy: OpacityPolicy,
+    lint: &LintConfig,
+    makespan: u64,
+) -> RunAnalysis {
+    let san = mem.san_log().expect("analysis needs a sanitized memory");
+    let log = san.snapshot();
+    let mut findings = detect_races(&race_cfg(mem, lint.threads), &log);
+    findings.extend(check_opacity(
+        &OpacityConfig { policy, main_lock: lint.main_lock },
+        san.initial_values(),
+        &log,
+    ));
+    findings.extend(lint_log(lint, &log));
     // Post-run leak check: after quiescence every conflict-bitmap bit
     // must be cleared.
     for line in mem.residual_lines() {
@@ -195,16 +179,61 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
                 var: None,
                 line: Some(line.raw()),
                 time: makespan,
-                seq: events.len(),
+                seq: log.len(),
             }],
         });
     }
+    RunAnalysis { log, findings }
+}
 
+/// Run one cell under the sanitizer and analyse its log.
+pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
+    let mut b = MemoryBuilder::new();
+    b.enable_sanitizer();
+    let mut cfg = SchemeConfig::paper();
+    cfg.sanitize = true;
+    let scheme = make_scheme(spec.scheme, spec.lock, cfg, &mut b, spec.threads);
+    let hot = b.alloc_isolated(0);
+    let targets: Vec<VarId> = (0..TARGETS).map(|_| b.alloc_isolated(0)).collect();
+    let mem = Arc::new(b.freeze(spec.threads));
+
+    let (_, makespan, _faults) = {
+        let scheme = Arc::clone(&scheme);
+        let targets = targets.clone();
+        let ops = spec.ops_per_thread;
+        harness::run_arc_faulted(
+            spec.threads,
+            0, // strict window: log order == execution order
+            spec.htm,
+            spec.seed,
+            spec.faults,
+            Arc::clone(&mem),
+            move |s| {
+                for _ in 0..ops {
+                    let t = s.rng.below(TARGETS as u64) as usize;
+                    let target = targets[t];
+                    scheme.execute(s, |s| {
+                        let h = s.load(hot)?;
+                        let v = s.load(target)?;
+                        s.store(target, v + 1)?;
+                        s.store(hot, h + 1)?;
+                        Ok(())
+                    });
+                }
+            },
+        )
+    };
+
+    let lint = lint_config_for(&scheme, spec.threads);
+    let RunAnalysis { log, findings } = analyze_run(&mem, policy_for(spec.scheme), &lint, makespan);
     let expected = (spec.threads * spec.ops_per_thread) as u64;
     SanReport {
         findings,
-        san_events: events.len(),
-        trace_events: trace.len(),
+        san_events: log.len(),
+        trace_events: log
+            .iter()
+            .filter(|e| !matches!(e.access, SanAccess::Read { .. } | SanAccess::Write { .. }))
+            .count(),
         hot_total: mem.read_direct(hot),
         target_sum: targets.iter().map(|&t| mem.read_direct(t)).sum(),
         expected_total: expected,
@@ -227,7 +256,7 @@ mod tests {
             report.expected_total
         );
         assert!(report.san_events > 0, "sanitizer log was empty");
-        assert!(report.trace_events > 0, "trace was empty");
+        assert!(report.trace_events > 0, "no protocol events were logged");
     }
 
     #[test]

@@ -51,16 +51,12 @@
 //! minimal set of forced decisions that still reproduces the finding,
 //! rendered by [`render_diagram`] as a step-by-step interleaving.
 
-use crate::driver::{lint_config_for, policy_for};
+use crate::driver::{analyze_run, lint_config_for, policy_for};
 use crate::linearize::check_linearizable;
-use crate::lint::lint_trace;
-use crate::opacity::{check_opacity, OpacityConfig};
-use crate::race::detect_races;
-use crate::testkit::race_cfg;
-use crate::{AccessSite, Finding, LintId};
+use crate::{Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, MemoryBuilder, Strand};
-use elision_sim::{GlobalTrace, ScheduleControl, StepRecord};
+use elision_sim::{ScheduleControl, StepRecord};
 use elision_structures::{
     HashTable, HistoryRecorder, OpAction, OpRecord, OpResponse, RbTree, SeqModel, SimQueue,
     SortedList, StructureKind,
@@ -600,7 +596,7 @@ fn run_cell_once(
     let structure = Arc::new(structure);
     let control = Arc::new(ScheduleControl::new(spec.threads, overrides.clone()));
 
-    let (outs, makespan) = {
+    let (histories, makespan) = {
         let scheme = Arc::clone(&scheme);
         let structure = Arc::clone(&structure);
         let kind = spec.structure;
@@ -612,7 +608,6 @@ fn run_cell_once(
             Arc::clone(&control),
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(4096);
                 let mut rec = HistoryRecorder::new(s.tid());
                 for k in 0..sections {
                     let action = action_for(kind, s.tid(), k);
@@ -621,40 +616,14 @@ fn run_cell_once(
                     let responded = s.sim().steps_taken();
                     rec.record(action, response, invoked, responded);
                 }
-                (s.trace.take().expect("trace enabled above"), rec.into_records())
+                rec.into_records()
             },
         )
     };
 
-    let trace = GlobalTrace::merge(outs.iter().map(|(ring, _)| ring).enumerate());
-    assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow the ring capacity");
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&race_cfg(&mem, spec.threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: policy_for(spec.scheme),
-            main_lock: Some(scheme.main_lock().lock_word().index()),
-        },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(&lint_config_for(&scheme, spec.threads), &trace));
-    for line in mem.residual_lines() {
-        findings.push(Finding {
-            lint: LintId::ResidualConflictBits,
-            message: format!("line {} kept reader/writer bits after quiescence", line.raw()),
-            sites: vec![AccessSite {
-                tid: 0,
-                var: None,
-                line: Some(line.raw()),
-                time: makespan,
-                seq: events.len(),
-            }],
-        });
-    }
-    let ops: Vec<OpRecord> = outs.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+    let rules = lint_config_for(&scheme, spec.threads);
+    let mut findings = analyze_run(&mem, policy_for(spec.scheme), &rules, makespan).findings;
+    let ops: Vec<OpRecord> = histories.into_iter().flatten().collect();
     let model = SeqModel::for_kind(spec.structure, QUEUE_CAP);
     findings.extend(check_linearizable(&model, &ops));
 
@@ -678,6 +647,8 @@ pub fn explore_cell(spec: &ExploreSpec) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::race_cfg;
+    use crate::race::detect_races;
     use crate::testkit::{
         broken_slr_explore, double_release_explore, lazy_race_explore, lazy_zombie_explore,
         LazyFixes,

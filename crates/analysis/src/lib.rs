@@ -16,14 +16,15 @@
 //!    lock before committing, SCM threads take the main lock only while
 //!    holding their auxiliary lock, and acquires/releases balance.
 //!
-//! This crate checks all three *post hoc* over the logs the lower layers
-//! already produce: the [`elision_htm::SanLog`] (every memory access, in
-//! global execution order — sound under the simulator's strict window 0)
-//! and the merged [`elision_sim::GlobalTrace`] of per-thread trace rings.
+//! This crate checks all three *post hoc* over the one log the lower
+//! layers already produce: the [`elision_htm::SanLog`] (every memory
+//! access and protocol event — transaction lifecycle, lock transitions,
+//! subscription markers — in global execution order, sound under the
+//! simulator's strict window 0 and under the controlled scheduler).
+//! [`driver::analyze_run`] runs every pass over a finished run's log;
 //! [`driver::sanitize_run`] wires a whole scheme × lock × fault-plan cell
-//! through all three passes; [`testkit`] provides known-bad schedules and
-//! workloads that must trip specific lints (the sanitizer's own negative
-//! tests).
+//! through it; [`testkit`] provides known-bad schedules and workloads
+//! that must trip specific lints (the sanitizer's own negative tests).
 //!
 //! On top of the sampling passes, [`explore`] turns the sanitizer into a
 //! bounded *model checker*: it drives the controlled scheduler through all
@@ -164,10 +165,12 @@ pub struct AccessSite {
     pub var: Option<u32>,
     /// The cache line involved, if known.
     pub line: Option<u32>,
-    /// The thread's logical clock at the access.
+    /// The thread's logical clock at the access: the `time` of the
+    /// sanitizer-log event at `seq`.
     pub time: u64,
-    /// Global sequence number: the access's index in the sanitizer log
-    /// (or merged trace, for trace-level lints).
+    /// Global sequence number: the access's index in the sanitizer log.
+    /// End-of-run findings (a transaction still live, residual conflict
+    /// bits) sit at the log's length.
     pub seq: usize,
 }
 

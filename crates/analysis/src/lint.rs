@@ -1,9 +1,10 @@
-//! Lock-discipline lints over the merged per-thread trace.
+//! Lock-discipline lints over the sanitizer log.
 //!
-//! Operates on the protocol-level [`GlobalTrace`] (transaction
-//! begin/commit/abort, non-speculative lock transitions, subscription
-//! markers) rather than the word-level sanitizer log. The checks are the
-//! paper's "discipline" obligations:
+//! Reads the protocol events of the [`SanEvent`] log the race and
+//! opacity passes also read (transaction begin/commit/abort,
+//! non-speculative lock transitions, subscription markers) and skips
+//! the word-level accesses. The checks are the paper's "discipline"
+//! obligations:
 //!
 //! * begin/commit/abort events balance per thread
 //!   ([`LintId::UnbalancedTxn`]);
@@ -15,18 +16,16 @@
 //! * under SCM, only the auxiliary-lock holder takes the main lock
 //!   non-speculatively (paper §6 — [`LintId::ScmMainWithoutAux`]).
 //!
-//! The merged trace orders events by `(time, tid)`. A release and the
-//! next acquire can carry the *same* timestamp (the handoff happens in
-//! one scheduler step), and if the releasing thread has a larger id the
-//! acquire sorts first. The acquire handler therefore looks ahead
-//! through the same-timestamp group for the matching release and applies
-//! it early instead of reporting a phantom overlap.
+//! The log's order is the execution order, so a lock handoff reads as
+//! the holder's release followed by the successor's acquire. That holds
+//! for the queue locks because their release note is recorded before the
+//! handoff store (DESIGN.md §5e).
 
 use crate::{AccessSite, Finding, LintId};
-use elision_sim::{GlobalTrace, TraceEvent};
-use std::collections::{HashMap, HashSet};
+use elision_htm::{SanAccess, SanEvent};
+use std::collections::HashMap;
 
-/// Configuration for [`lint_trace`].
+/// Configuration for [`lint_log`].
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     /// Require a subscription marker before every commit (SLR/SCM lazy
@@ -49,113 +48,72 @@ struct ThreadState {
     subscribed: bool,
 }
 
-/// Run the lock-discipline lints over a merged trace.
-///
-/// The caller must ensure `trace.dropped() == 0`: balanced-pair checks
-/// are meaningless over a truncated trace.
-pub fn lint_trace(cfg: &LintConfig, trace: &GlobalTrace) -> Vec<Finding> {
-    assert_eq!(trace.dropped(), 0, "lint pass requires a complete (undropped) trace");
-    let events = trace.events();
+/// Run the lock-discipline lints over a sanitizer log.
+pub fn lint_log(cfg: &LintConfig, events: &[SanEvent]) -> Vec<Finding> {
     let mut threads: Vec<ThreadState> = vec![ThreadState::default(); cfg.threads];
     let mut holders: HashMap<u32, usize> = HashMap::new();
-    // Indices of LockRelease events already applied early by the
-    // same-timestamp look-ahead.
-    let mut consumed: HashSet<usize> = HashSet::new();
     let mut findings = Vec::new();
-
-    let site = |seq: usize, tid: usize, time: u64, word: Option<u32>| AccessSite {
-        tid,
-        var: word,
-        line: None,
-        time,
-        seq,
-    };
 
     for (seq, ev) in events.iter().enumerate() {
         let tid = ev.tid;
         if tid >= cfg.threads {
             continue;
         }
-        match ev.event {
-            TraceEvent::TxnBegin => {
+        let site = |var: Option<u32>| AccessSite { tid, var, line: None, time: ev.time, seq };
+        match ev.access {
+            SanAccess::TxnBegin => {
                 if threads[tid].in_txn {
                     findings.push(Finding {
                         lint: LintId::UnbalancedTxn,
                         message: format!("t{tid} began a transaction while one was live"),
-                        sites: vec![site(seq, tid, ev.time, None)],
+                        sites: vec![site(None)],
                     });
                 }
                 threads[tid].in_txn = true;
                 threads[tid].subscribed = false;
             }
-            TraceEvent::TxnCommit => {
+            SanAccess::TxnCommit => {
                 if !threads[tid].in_txn {
                     findings.push(Finding {
                         lint: LintId::UnbalancedTxn,
                         message: format!("t{tid} committed with no live transaction"),
-                        sites: vec![site(seq, tid, ev.time, None)],
+                        sites: vec![site(None)],
                     });
                 } else if cfg.require_subscription && !threads[tid].subscribed {
                     findings.push(Finding {
                         lint: LintId::SlrUnsubscribedCommit,
                         message: format!("t{tid} committed without subscribing to the main lock"),
-                        sites: vec![site(seq, tid, ev.time, cfg.main_lock)],
+                        sites: vec![site(cfg.main_lock)],
                     });
                 }
                 threads[tid].in_txn = false;
                 threads[tid].subscribed = false;
             }
-            TraceEvent::TxnAbort(_) => {
+            SanAccess::TxnAbort { .. } => {
                 if !threads[tid].in_txn {
                     findings.push(Finding {
                         lint: LintId::UnbalancedTxn,
                         message: format!("t{tid} aborted with no live transaction"),
-                        sites: vec![site(seq, tid, ev.time, None)],
+                        sites: vec![site(None)],
                     });
                 }
                 threads[tid].in_txn = false;
                 threads[tid].subscribed = false;
             }
-            TraceEvent::Custom("subscribe", _) => {
+            SanAccess::Marker { label: "subscribe", .. } => {
                 threads[tid].subscribed = true;
             }
-            TraceEvent::Custom(..) => {}
-            TraceEvent::LockAcquire(word) => {
+            SanAccess::LockAcquire { word } => {
+                let word = word.index();
                 if let Some(&holder) = holders.get(&word) {
                     if holder != tid {
-                        // Same-timestamp handoff inversion: the
-                        // holder's release may sort after this acquire
-                        // within the same-(time) group. Apply it early.
-                        let mut handed_off = None;
-                        for (off, e) in events[seq + 1..].iter().enumerate() {
-                            if e.time != ev.time {
-                                break;
-                            }
-                            let idx = seq + 1 + off;
-                            if e.tid == holder
-                                && e.event == TraceEvent::LockRelease(word)
-                                && !consumed.contains(&idx)
-                            {
-                                handed_off = Some(idx);
-                                break;
-                            }
-                        }
-                        match handed_off {
-                            Some(idx) => {
-                                consumed.insert(idx);
-                                holders.remove(&word);
-                            }
-                            None => {
-                                findings.push(Finding {
-                                    lint: LintId::OverlappingAcquire,
-                                    message: format!(
-                                        "t{tid} acquired lock word {word} while t{holder} \
-                                         held it"
-                                    ),
-                                    sites: vec![site(seq, tid, ev.time, Some(word))],
-                                });
-                            }
-                        }
+                        findings.push(Finding {
+                            lint: LintId::OverlappingAcquire,
+                            message: format!(
+                                "t{tid} acquired lock word {word} while t{holder} held it"
+                            ),
+                            sites: vec![site(Some(word))],
+                        });
                     }
                 }
                 if cfg.aux_discipline
@@ -167,25 +125,24 @@ pub fn lint_trace(cfg: &LintConfig, trace: &GlobalTrace) -> Vec<Finding> {
                         message: format!(
                             "t{tid} took the main lock without holding an auxiliary lock"
                         ),
-                        sites: vec![site(seq, tid, ev.time, Some(word))],
+                        sites: vec![site(Some(word))],
                     });
                 }
                 holders.insert(word, tid);
             }
-            TraceEvent::LockRelease(word) => {
-                if consumed.remove(&seq) {
-                    continue;
-                }
+            SanAccess::LockRelease { word } => {
+                let word = word.index();
                 if holders.get(&word) == Some(&tid) {
                     holders.remove(&word);
                 } else {
                     findings.push(Finding {
                         lint: LintId::ReleaseWithoutAcquire,
                         message: format!("t{tid} released lock word {word} it did not hold"),
-                        sites: vec![site(seq, tid, ev.time, Some(word))],
+                        sites: vec![site(Some(word))],
                     });
                 }
             }
+            SanAccess::Marker { .. } | SanAccess::Read { .. } | SanAccess::Write { .. } => {}
         }
     }
 
@@ -194,7 +151,13 @@ pub fn lint_trace(cfg: &LintConfig, trace: &GlobalTrace) -> Vec<Finding> {
             findings.push(Finding {
                 lint: LintId::UnbalancedTxn,
                 message: format!("t{tid} ended the run inside a live transaction"),
-                sites: vec![site(events.len(), tid, u64::MAX, None)],
+                sites: vec![AccessSite {
+                    tid,
+                    var: None,
+                    line: None,
+                    time: u64::MAX,
+                    seq: events.len(),
+                }],
             });
         }
     }
@@ -204,7 +167,8 @@ pub fn lint_trace(cfg: &LintConfig, trace: &GlobalTrace) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elision_sim::{AbortCause, TraceRing};
+    use elision_htm::VarId;
+    use elision_sim::AbortCause;
 
     const MAIN: u32 = 0;
     const AUX: u32 = 16;
@@ -219,80 +183,78 @@ mod tests {
         }
     }
 
-    fn merged(rings: Vec<(usize, TraceRing)>) -> GlobalTrace {
-        GlobalTrace::merge(rings.iter().map(|(tid, r)| (*tid, r)))
+    fn ev(tid: usize, time: u64, access: SanAccess) -> SanEvent {
+        SanEvent { tid, time, access }
+    }
+
+    fn acquire(tid: usize, time: u64, word: u32) -> SanEvent {
+        ev(tid, time, SanAccess::LockAcquire { word: VarId::from_index(word) })
+    }
+
+    fn release(tid: usize, time: u64, word: u32) -> SanEvent {
+        ev(tid, time, SanAccess::LockRelease { word: VarId::from_index(word) })
     }
 
     #[test]
     fn balanced_run_is_clean() {
-        let mut r = TraceRing::new(16);
-        r.record(1, TraceEvent::TxnBegin);
-        r.record(2, TraceEvent::TxnAbort(AbortCause::DataConflict));
-        r.record(3, TraceEvent::LockAcquire(MAIN));
-        r.record(4, TraceEvent::LockRelease(MAIN));
-        r.record(5, TraceEvent::TxnBegin);
-        r.record(6, TraceEvent::TxnCommit);
-        assert!(lint_trace(&cfg(1), &merged(vec![(0, r)])).is_empty());
+        let log = [
+            ev(0, 1, SanAccess::TxnBegin),
+            ev(0, 2, SanAccess::TxnAbort { cause: AbortCause::DataConflict }),
+            acquire(0, 3, MAIN),
+            ev(0, 3, SanAccess::Write { var: VarId::from_index(8), value: 1, txn: false }),
+            release(0, 4, MAIN),
+            ev(0, 5, SanAccess::TxnBegin),
+            ev(0, 6, SanAccess::TxnCommit),
+        ];
+        assert!(lint_log(&cfg(1), &log).is_empty());
     }
 
     #[test]
     fn double_release_reported() {
-        let mut r = TraceRing::new(8);
-        r.record(1, TraceEvent::LockAcquire(MAIN));
-        r.record(2, TraceEvent::LockRelease(MAIN));
-        r.record(3, TraceEvent::LockRelease(MAIN));
-        let f = lint_trace(&cfg(1), &merged(vec![(0, r)]));
+        let log = [acquire(0, 1, MAIN), release(0, 2, MAIN), release(0, 3, MAIN)];
+        let f = lint_log(&cfg(1), &log);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LintId::ReleaseWithoutAcquire);
-        assert_eq!(f[0].sites[0].seq, 2);
+        assert_eq!((f[0].sites[0].seq, f[0].sites[0].time), (2, 3));
     }
 
     #[test]
     fn unsubscribed_commit_reported_when_required() {
-        let mut r = TraceRing::new(8);
-        r.record(1, TraceEvent::TxnBegin);
-        r.record(2, TraceEvent::TxnCommit);
+        let log = [ev(0, 1, SanAccess::TxnBegin), ev(0, 2, SanAccess::TxnCommit)];
         let mut c = cfg(1);
         c.require_subscription = true;
-        let f = lint_trace(&c, &merged(vec![(0, r)]));
+        let f = lint_log(&c, &log);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LintId::SlrUnsubscribedCommit);
     }
 
     #[test]
     fn subscription_marker_suppresses_the_lint() {
-        let mut r = TraceRing::new(8);
-        r.record(1, TraceEvent::TxnBegin);
-        r.record(2, TraceEvent::Custom("subscribe", u64::from(MAIN)));
-        r.record(3, TraceEvent::TxnCommit);
+        let log = [
+            ev(0, 1, SanAccess::TxnBegin),
+            ev(0, 2, SanAccess::Marker { label: "subscribe", value: u64::from(MAIN) }),
+            ev(0, 3, SanAccess::TxnCommit),
+        ];
         let mut c = cfg(1);
         c.require_subscription = true;
-        assert!(lint_trace(&c, &merged(vec![(0, r)])).is_empty());
+        assert!(lint_log(&c, &log).is_empty());
     }
 
     #[test]
     fn overlapping_acquire_reported() {
-        let mut r0 = TraceRing::new(8);
-        r0.record(1, TraceEvent::LockAcquire(MAIN));
-        r0.record(9, TraceEvent::LockRelease(MAIN));
-        let mut r1 = TraceRing::new(8);
-        r1.record(5, TraceEvent::LockAcquire(MAIN));
-        r1.record(6, TraceEvent::LockRelease(MAIN));
-        let f = lint_trace(&cfg(2), &merged(vec![(0, r0), (1, r1)]));
+        let log =
+            [acquire(0, 1, MAIN), acquire(1, 5, MAIN), release(1, 6, MAIN), release(0, 9, MAIN)];
+        let f = lint_log(&cfg(2), &log);
         assert!(f.iter().any(|f| f.lint == LintId::OverlappingAcquire), "{f:?}");
     }
 
     #[test]
     fn same_time_handoff_inversion_is_not_an_overlap() {
-        // t1 releases at time 7 and t0 acquires at time 7: the merge
-        // sorts t0's acquire first, but this is a legal handoff.
-        let mut r0 = TraceRing::new(8);
-        r0.record(7, TraceEvent::LockAcquire(MAIN));
-        r0.record(9, TraceEvent::LockRelease(MAIN));
-        let mut r1 = TraceRing::new(8);
-        r1.record(3, TraceEvent::LockAcquire(MAIN));
-        r1.record(7, TraceEvent::LockRelease(MAIN));
-        assert!(lint_trace(&cfg(2), &merged(vec![(0, r0), (1, r1)])).is_empty());
+        // t1 releases and t0 acquires at the same clock: the log records
+        // the release first, so this is a legal handoff.
+        let log =
+            [acquire(1, 3, MAIN), release(1, 7, MAIN), acquire(0, 7, MAIN), release(0, 9, MAIN)];
+        assert!(lint_log(&cfg(2), &log).is_empty());
     }
 
     #[test]
@@ -300,15 +262,15 @@ mod tests {
         let mut c = cfg(2);
         c.aux_discipline = true;
         // t0 holds aux then main: fine. t1 takes main bare: lint.
-        let mut r0 = TraceRing::new(8);
-        r0.record(1, TraceEvent::LockAcquire(AUX));
-        r0.record(2, TraceEvent::LockAcquire(MAIN));
-        r0.record(3, TraceEvent::LockRelease(MAIN));
-        r0.record(4, TraceEvent::LockRelease(AUX));
-        let mut r1 = TraceRing::new(8);
-        r1.record(6, TraceEvent::LockAcquire(MAIN));
-        r1.record(7, TraceEvent::LockRelease(MAIN));
-        let f = lint_trace(&c, &merged(vec![(0, r0), (1, r1)]));
+        let log = [
+            acquire(0, 1, AUX),
+            acquire(0, 2, MAIN),
+            release(0, 3, MAIN),
+            release(0, 4, AUX),
+            acquire(1, 6, MAIN),
+            release(1, 7, MAIN),
+        ];
+        let f = lint_log(&c, &log);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].lint, LintId::ScmMainWithoutAux);
         assert_eq!(f[0].sites[0].tid, 1);
@@ -316,20 +278,10 @@ mod tests {
 
     #[test]
     fn commit_without_begin_and_trailing_txn_reported() {
-        let mut r = TraceRing::new(8);
-        r.record(1, TraceEvent::TxnCommit);
-        r.record(2, TraceEvent::TxnBegin);
-        let f = lint_trace(&cfg(1), &merged(vec![(0, r)]));
+        let log = [ev(0, 1, SanAccess::TxnCommit), ev(0, 2, SanAccess::TxnBegin)];
+        let f = lint_log(&cfg(1), &log);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|f| f.lint == LintId::UnbalancedTxn));
-    }
-
-    #[test]
-    #[should_panic(expected = "undropped")]
-    fn truncated_trace_rejected() {
-        let mut r = TraceRing::new(1);
-        r.record(1, TraceEvent::TxnBegin);
-        r.record(2, TraceEvent::TxnCommit);
-        lint_trace(&cfg(1), &merged(vec![(0, r)]));
+        assert_eq!(f[1].sites[0].seq, log.len(), "end-of-run sites sit past the log");
     }
 }

@@ -27,32 +27,36 @@
 //! [`LintId::CommitWhileLockHeld`]: crate::LintId::CommitWhileLockHeld
 //! [`LintId::SlrUnsubscribedCommit`]: crate::LintId::SlrUnsubscribedCommit
 //! [`LintId::ReleaseWithoutAcquire`]: crate::LintId::ReleaseWithoutAcquire
+//!
+//! Every fixture runs the full pass pipeline ([`analyze_run`]), so each
+//! fixture's findings are whatever *any* pass reports on its log.
 
-use crate::driver::{lint_config_for, policy_for};
-use crate::lint::{lint_trace, LintConfig};
-use crate::opacity::{check_opacity, OpacityConfig, OpacityPolicy};
-use crate::race::{detect_races, RaceConfig};
+use crate::driver::{analyze_run, lint_config_for, policy_for, RunAnalysis};
+use crate::lint::LintConfig;
+use crate::opacity::OpacityPolicy;
 use crate::Finding;
 use elision_core::{make_scheme, LazyMode, LockKind, SchemeConfig, SchemeKind};
-use elision_htm::{codes, harness, HtmConfig, HwSubscription, Memory, MemoryBuilder, VarId};
+use elision_htm::{codes, harness, HtmConfig, HwSubscription, MemoryBuilder, VarId};
 use elision_locks::{RawLock, TtasLock};
-use elision_sim::{GlobalTrace, ScheduleControl, StepRecord};
+use elision_sim::{ScheduleControl, StepRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Build the [`RaceConfig`] describing `mem`'s layout.
-pub fn race_cfg(mem: &Memory, threads: usize) -> RaceConfig {
-    RaceConfig {
+/// The lint rules of a fixture whose only lock is a bare TTAS `lock`.
+fn ttas_rules(lock: &TtasLock, threads: usize, require_subscription: bool) -> LintConfig {
+    LintConfig {
+        require_subscription,
+        aux_discipline: false,
+        main_lock: Some(lock.lock_word().index()),
+        aux_locks: Vec::new(),
         threads,
-        words_per_line: mem.words_per_line() as u32,
-        lock_lines: (0..mem.line_count()).map(|l| mem.is_lock_line(l as u32)).collect(),
     }
 }
 
 /// Run the broken eager-commit SLR variant: the transaction skips the
 /// subscription read (Figure 5 line 24) and commits while the lock
-/// holder is mid-critical-section. Returns all findings.
-pub fn broken_slr_schedule() -> Vec<Finding> {
+/// holder is mid-critical-section.
+pub fn broken_slr_schedule() -> RunAnalysis {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
@@ -61,7 +65,7 @@ pub fn broken_slr_schedule() -> Vec<Finding> {
     let mem = Arc::new(b.freeze(2));
     let threads = 2;
 
-    let (rings, _makespan) = {
+    let (_, makespan) = {
         let lock = Arc::clone(&lock);
         harness::run_arc(
             threads,
@@ -70,7 +74,6 @@ pub fn broken_slr_schedule() -> Vec<Finding> {
             7,
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(64);
                 if s.tid() == 0 {
                     // The honest lock holder: a long critical section
                     // mutating x then (much later) y.
@@ -90,71 +93,32 @@ pub fn broken_slr_schedule() -> Vec<Finding> {
                     })
                     .expect("uncontended read-only txn commits");
                 }
-                s.trace.take().expect("trace enabled above")
             },
         )
     };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&race_cfg(&mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: OpacityPolicy::Sandboxed,
-            main_lock: Some(lock.lock_word().index()),
-        },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(
-        &LintConfig {
-            require_subscription: true,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads,
-        },
-        &trace,
-    ));
-    findings
+    analyze_run(&mem, OpacityPolicy::Sandboxed, &ttas_rules(&lock, threads, true), makespan)
 }
 
-/// Run a schedule where a thread releases the lock twice. Returns all
-/// lint findings.
-pub fn double_release_schedule() -> Vec<Finding> {
+/// Run a schedule where a thread releases the lock twice.
+pub fn double_release_schedule() -> RunAnalysis {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
     let data = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(1));
 
-    let (rings, _makespan) = {
+    let (_, makespan) = {
         let lock = Arc::clone(&lock);
         harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
-            s.enable_trace(64);
             lock.acquire(s).expect("non-speculative acquire");
             s.store(data, 1).expect("plain store");
             lock.release(s).expect("non-speculative release");
             // The bug: a second release of a lock this thread no
             // longer holds.
             lock.release(s).expect("non-speculative release");
-            s.trace.take().expect("trace enabled above")
         })
     };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    lint_trace(
-        &LintConfig {
-            require_subscription: false,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads: 1,
-        },
-        &trace,
-    )
+    analyze_run(&mem, OpacityPolicy::Strict, &ttas_rules(&lock, 1, false), makespan)
 }
 
 /// A controlled run's observable outcome: the schedule that was executed
@@ -181,6 +145,12 @@ pub type ExploreRun = (Vec<StepRecord>, Vec<Finding>);
 /// always-firing subscription lint would otherwise mask the
 /// schedule-dependence this fixture exists to demonstrate.
 pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
+    let (steps, run) = broken_slr_replay(overrides);
+    (steps, run.findings)
+}
+
+/// [`broken_slr_explore`], keeping the run's log.
+fn broken_slr_replay(overrides: &BTreeMap<usize, usize>) -> (Vec<StepRecord>, RunAnalysis) {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
@@ -190,7 +160,7 @@ pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
     let threads = 2;
     let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
 
-    let (rings, _makespan) = {
+    let (_, makespan) = {
         let lock = Arc::clone(&lock);
         harness::run_arc_controlled(
             threads,
@@ -199,7 +169,6 @@ pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
             Arc::clone(&control),
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(256);
                 if s.tid() == 0 {
                     // Long non-critical prelude, then the critical
                     // section. Under the default schedule the peer's
@@ -226,35 +195,11 @@ pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
                         }
                     }
                 }
-                s.trace.take().expect("trace enabled above")
             },
         )
     };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&race_cfg(&mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: OpacityPolicy::Sandboxed,
-            main_lock: Some(lock.lock_word().index()),
-        },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(
-        &LintConfig {
-            require_subscription: false,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads,
-        },
-        &trace,
-    ));
-    (control.steps(), findings)
+    let rules = ttas_rules(&lock, threads, false);
+    (control.steps(), analyze_run(&mem, OpacityPolicy::Sandboxed, &rules, makespan))
 }
 
 /// Schedule-dependent double release: thread 0 releases the lock a
@@ -271,6 +216,12 @@ pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
 /// — and only on interleavings where thread 1's transaction commits
 /// before thread 0 samples the probe.
 pub fn double_release_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
+    let (steps, run) = double_release_replay(overrides);
+    (steps, run.findings)
+}
+
+/// [`double_release_explore`], keeping the run's log.
+fn double_release_replay(overrides: &BTreeMap<usize, usize>) -> (Vec<StepRecord>, RunAnalysis) {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
@@ -280,7 +231,7 @@ pub fn double_release_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun 
     let threads = 2;
     let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
 
-    let (rings, _makespan) = {
+    let (_, makespan) = {
         let lock = Arc::clone(&lock);
         harness::run_arc_controlled(
             threads,
@@ -289,7 +240,6 @@ pub fn double_release_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun 
             Arc::clone(&control),
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(256);
                 if s.tid() == 0 {
                     lock.acquire(s).expect("non-speculative acquire");
                     s.store(data, 1).expect("plain store");
@@ -321,32 +271,11 @@ pub fn double_release_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun 
                         }
                     }
                 }
-                s.trace.take().expect("trace enabled above")
             },
         )
     };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&race_cfg(&mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig { policy: OpacityPolicy::Strict, main_lock: Some(lock.lock_word().index()) },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(
-        &LintConfig {
-            require_subscription: false,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads,
-        },
-        &trace,
-    ));
-    (control.steps(), findings)
+    let rules = ttas_rules(&lock, threads, false);
+    (control.steps(), analyze_run(&mem, OpacityPolicy::Strict, &rules, makespan))
 }
 
 /// Which of arXiv 1407.6968's hardware fixes a lazy-subscription fixture
@@ -415,30 +344,6 @@ fn zombie_wild_store(lock: &dyn RawLock, threads: usize) -> (VarId, u64) {
     }
 }
 
-/// Run every analysis pass a lazy-subscription fixture needs and return
-/// the combined findings.
-fn analyze_lazy_run(
-    scheme: &elision_core::Scheme,
-    mem: &Memory,
-    threads: usize,
-    rings: Vec<elision_sim::TraceRing>,
-) -> Vec<Finding> {
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled by the fixture");
-    let events = san.snapshot();
-    let mut findings = detect_races(&race_cfg(mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: policy_for(scheme.kind()),
-            main_lock: Some(scheme.main_lock().lock_word().index()),
-        },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(&lint_config_for(scheme, threads), &trace));
-    findings
-}
-
 /// Class A of arXiv 1407.6968 — the **zombie dangerous instruction**.
 ///
 /// Thread 0 is an honest non-speculative lock holder maintaining the
@@ -478,7 +383,7 @@ pub fn lazy_zombie_explore(
     let mem = Arc::new(b.freeze(threads));
     let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
 
-    let (rings, _makespan) = {
+    let (_, makespan) = {
         let scheme = Arc::clone(&scheme);
         let main = Arc::clone(scheme.main_lock());
         harness::run_arc_controlled(
@@ -488,7 +393,6 @@ pub fn lazy_zombie_explore(
             Arc::clone(&control),
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(1024);
                 if s.tid() == 0 {
                     // Long non-critical prelude (keeps the default
                     // schedule clean), then the invariant-maintaining
@@ -513,12 +417,12 @@ pub fn lazy_zombie_explore(
                         Ok(())
                     });
                 }
-                s.trace.take().expect("trace enabled above")
             },
         )
     };
-    let findings = analyze_lazy_run(&scheme, &mem, threads, rings);
-    (control.steps(), findings)
+    let rules = lint_config_for(&scheme, threads);
+    let run = analyze_run(&mem, policy_for(scheme.kind()), &rules, makespan);
+    (control.steps(), run.findings)
 }
 
 /// Class B of arXiv 1407.6968 — the **commit-time subscription race**.
@@ -551,7 +455,7 @@ pub fn lazy_race_explore(
     let mem = Arc::new(b.freeze(threads));
     let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
 
-    let (rings, _makespan) = {
+    let (_, makespan) = {
         let scheme = Arc::clone(&scheme);
         let main = Arc::clone(scheme.main_lock());
         harness::run_arc_controlled(
@@ -561,7 +465,6 @@ pub fn lazy_race_explore(
             Arc::clone(&control),
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(1024);
                 if s.tid() == 0 {
                     s.work(200).expect("non-transactional work");
                     main.acquire(s).expect("non-speculative acquire");
@@ -574,22 +477,63 @@ pub fn lazy_race_explore(
                         Ok(())
                     });
                 }
-                s.trace.take().expect("trace enabled above")
             },
         )
     };
-    let findings = analyze_lazy_run(&scheme, &mem, threads, rings);
-    (control.steps(), findings)
+    let rules = lint_config_for(&scheme, threads);
+    let run = analyze_run(&mem, policy_for(scheme.kind()), &rules, makespan);
+    (control.steps(), run.findings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore_and_minimize, Bounds, Mode};
     use crate::LintId;
+
+    /// Every site of every finding points into the run's log: its `seq`
+    /// indexes an event of the same thread at the same time. End-of-run
+    /// and residual-bit sites sit at `log.len()`.
+    fn assert_sites_index_the_log(run: &RunAnalysis) {
+        for f in &run.findings {
+            for site in &f.sites {
+                if site.seq == run.log.len() {
+                    assert!(
+                        matches!(f.lint, LintId::UnbalancedTxn | LintId::ResidualConflictBits),
+                        "{f}: only end-of-run findings may sit past the log"
+                    );
+                    continue;
+                }
+                let ev = run.log.get(site.seq).unwrap_or_else(|| panic!("{f}: seq past the log"));
+                assert_eq!((ev.tid, ev.time), (site.tid, site.time), "{f}: site is not {ev:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn finding_sites_are_coordinates_in_the_sanitizer_log() {
+        for run in [broken_slr_schedule(), double_release_schedule()] {
+            assert!(!run.findings.is_empty(), "seeded fixture found nothing");
+            assert_sites_index_the_log(&run);
+        }
+        type Replay = fn(&BTreeMap<usize, usize>) -> (Vec<StepRecord>, RunAnalysis);
+        for replay in [broken_slr_replay as Replay, double_release_replay] {
+            let (_, minimized) = explore_and_minimize(Mode::Dpor, &Bounds::quick(), |ov| {
+                let (steps, run) = replay(ov);
+                (steps, run.findings)
+            });
+            assert!(!minimized.is_empty(), "seeded explore fixture found nothing");
+            for counterexample in minimized {
+                let (_, run) = replay(&counterexample.forced.iter().copied().collect());
+                assert!(run.findings.contains(&counterexample.finding), "replay diverged");
+                assert_sites_index_the_log(&run);
+            }
+        }
+    }
 
     #[test]
     fn broken_slr_trips_race_lock_held_and_subscription_lints() {
-        let findings = broken_slr_schedule();
+        let findings = broken_slr_schedule().findings;
         for expected in
             [LintId::DataRace, LintId::CommitWhileLockHeld, LintId::SlrUnsubscribedCommit]
         {
@@ -605,7 +549,7 @@ mod tests {
 
     #[test]
     fn double_release_trips_the_lint() {
-        let findings = double_release_schedule();
+        let findings = double_release_schedule().findings;
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert_eq!(findings[0].lint, LintId::ReleaseWithoutAcquire);
         assert!(!findings[0].sites.is_empty());

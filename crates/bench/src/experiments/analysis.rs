@@ -159,13 +159,13 @@ pub(super) fn sanitize_all(d: &mut Driver<'_>) {
     println!("\n-- seeded negative schedules --");
     check_seeded(
         "broken-slr",
-        &broken_slr_schedule(),
+        &broken_slr_schedule().findings,
         &[LintId::DataRace, LintId::CommitWhileLockHeld, LintId::SlrUnsubscribedCommit],
         &mut report,
     );
     check_seeded(
         "double-release",
-        &double_release_schedule(),
+        &double_release_schedule().findings,
         &[LintId::ReleaseWithoutAcquire],
         &mut report,
     );

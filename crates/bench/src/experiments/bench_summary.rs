@@ -53,7 +53,8 @@ fn validate_timing(path: &Path, doc: &Json) -> (Json, u64) {
     (entry, wall_ms)
 }
 
-/// Validate one report's schema; returns (binary, config, rows).
+/// Validate one report's schema; returns (binary, config, rows). A
+/// report's rows are its `rows` array, or else its `cells` array.
 fn validate(path: &Path, doc: &Json) -> (String, Json, Vec<Json>) {
     let ctx = path.display();
     let version = doc
@@ -70,10 +71,13 @@ fn validate(path: &Path, doc: &Json) -> (String, Json, Vec<Json>) {
         .to_string();
     let config =
         doc.get("config").cloned().unwrap_or_else(|| fail(&format!("{ctx}: missing config")));
+    // The analysis reports (MODELCHECK, LAZY_SAFETY) list `cells` where
+    // the sweep reports list `rows`.
     let rows = doc
         .get("rows")
+        .or_else(|| doc.get("cells"))
         .and_then(Json::as_arr)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing rows array")))
+        .unwrap_or_else(|| fail(&format!("{ctx}: missing rows (or cells) array")))
         .to_vec();
     (binary, config, rows)
 }
@@ -86,8 +90,9 @@ fn validate(path: &Path, doc: &Json) -> (String, Json, Vec<Json>) {
 /// validates the schema, and writes `<DIR>/BENCH_SUMMARY.json`
 /// containing one entry per report — binary name, its config, its row
 /// count — plus an abort-cause histogram summed over every row of every
-/// report and a lint histogram summed over every row's static-analysis
-/// `findings` (the elision_lint report). Files are processed in sorted
+/// report and a lint histogram summed over every row's `findings` (the
+/// elision_lint report, and the model_check and lazy_safety reports,
+/// whose rows are their `cells`). Files are processed in sorted
 /// name order, so the summary is deterministic.
 ///
 /// `TIMING_<binary>.json` files (written by the sweep orchestrator) are
@@ -149,9 +154,11 @@ pub(super) fn bench_summary(exp: &'static Experiment, argv: Vec<String>) {
                         causes.get(cause.label()).and_then(Json::as_u64).unwrap_or(0);
                 }
             }
-            // Static-analysis reports (elision_lint) attach a "findings"
+            // The static-analysis (elision_lint) and analysis
+            // (model_check, lazy_safety) reports attach a "findings"
             // array per row; tally them by lint so the summary carries
-            // the layout-health trajectory alongside the abort causes.
+            // the layout-health and verification trajectory alongside
+            // the abort causes.
             if let Some(findings) = row.get("findings").and_then(Json::as_arr) {
                 for finding in findings {
                     let label = finding.get("lint").and_then(Json::as_str);

@@ -19,8 +19,7 @@
 //! `jobs × threads` oversubscription could swamp the host; a [`Sweep`]
 //! therefore enforces a global cap on concurrent *simulated* threads with
 //! a weighted budget (acquired for a cell's declared thread count before
-//! it runs). The `sim` crate exposes the matching gauge,
-//! [`elision_sim::sim_threads_in_flight`], for cross-checking.
+//! it runs).
 //!
 //! Host wall-clock per cell and per sweep is recorded in a [`TimingLog`]
 //! and written as `TIMING_<binary>.json` next to the metrics reports.

@@ -4,9 +4,12 @@
 //! When a [`crate::Memory`] is built with
 //! [`crate::MemoryBuilder::enable_sanitizer`], every `Strand` access —
 //! speculative loads, commit-time publications, non-transactional
-//! reads/writes/RMWs — appends a [`SanEvent`] to the memory's [`SanLog`].
-//! The `elision-analysis` crate post-processes this log into
-//! happens-before race detection and opacity/sandboxing checks.
+//! reads/writes/RMWs — and every protocol event (transaction
+//! begin/commit/abort, non-speculative lock acquire/release, markers)
+//! appends a [`SanEvent`] to the memory's [`SanLog`]. The
+//! `elision-analysis` crate post-processes this one log into
+//! happens-before race detection, opacity/sandboxing checks and
+//! lock-discipline lints.
 //!
 //! Soundness of the log's *order* relies on the simulator's strict
 //! scheduling window (window 0): everything a thread executes between two
@@ -15,7 +18,8 @@
 //! writes additionally serialize on the memory's engine mutex. Under
 //! those two facts the log's append order is the execution order, so the
 //! event's index in the log is its global sequence number. Sanitized
-//! runs must therefore use window 0; relaxed windows give a log whose
+//! runs must therefore use window 0 (or the controlled scheduler, which
+//! also runs one thread at a time); relaxed windows give a log whose
 //! order is only approximate.
 //!
 //! Recording an event never advances a logical clock and never draws

@@ -165,15 +165,7 @@ impl Strand {
 
     fn trace_event(&mut self, ev: TraceEvent) {
         if let Some(ring) = self.trace.as_mut() {
-            // Lint passes order the merged trace by timestamp. Per-thread
-            // cycle clocks only agree with execution order under the
-            // default min-clock schedule; in a controlled run an
-            // adversarial schedule runs threads "in the past", so stamp
-            // with the global decision-step counter instead — each step
-            // belongs to exactly one thread, and the stable merge keeps
-            // same-step (same-thread) events in ring order.
-            let t = if self.sim.controlled() { self.sim.steps_taken() } else { self.sim.now() };
-            ring.record(t, ev);
+            ring.record(self.sim.now(), ev);
         }
     }
 

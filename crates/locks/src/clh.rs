@@ -83,7 +83,7 @@ impl RawLock for ClhLock {
         }
         // The node-unlock store is the release's linearization point:
         // record the release first so the successor's acquire never
-        // precedes it in the merged trace.
+        // precedes it in the sanitizer log.
         s.note_lock_release(self.tail);
         s.store(self.node_locked[my as usize], UNLOCKED)?;
         // Recycle the predecessor's node (standard CLH).

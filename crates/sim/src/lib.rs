@@ -62,44 +62,9 @@ pub use rng::DetRng;
 pub use sched::{Scheduler, SimHandle};
 pub use slots::{CauseSlotRecorder, CauseSlotSeries, SlotRecorder, SlotSeries};
 pub use stats::{AbortCause, AttemptKind, CauseHistogram, ConflictLineHistogram, OpCounters};
-pub use trace::{GlobalEvent, GlobalTrace, TraceEvent, TraceRing};
+pub use trace::{TraceEvent, TraceRing};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Process-global count of simulated threads currently in flight, across
-/// every concurrently running simulation. See [`sim_threads_in_flight`].
-static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-/// The number of simulated threads currently executing, summed over every
-/// simulation running in this process.
-///
-/// A sweep harness that runs many independent simulations on a host
-/// thread pool uses this to account for (and cap) the total number of OS
-/// threads the `sim` layer has live at once: each [`SimBuilder::run`]
-/// adds its thread count on entry and removes it when the run finishes,
-/// even if a simulated thread panics. The read is a single relaxed atomic
-/// load — cheap enough to poll from a hot scheduling loop.
-pub fn sim_threads_in_flight() -> usize {
-    IN_FLIGHT.load(Ordering::Relaxed)
-}
-
-/// Decrements the in-flight gauge on drop so a panicking simulated thread
-/// cannot leak its contribution.
-struct InFlightGuard(usize);
-
-impl InFlightGuard {
-    fn new(threads: usize) -> Self {
-        IN_FLIGHT.fetch_add(threads, Ordering::Relaxed);
-        InFlightGuard(threads)
-    }
-}
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        IN_FLIGHT.fetch_sub(self.0, Ordering::Relaxed);
-    }
-}
 
 /// Per-thread context handed to each simulated thread's body.
 #[derive(Debug)]
@@ -216,7 +181,6 @@ impl SimBuilder {
             Some(ctl) => Scheduler::with_control(self.threads, Arc::clone(ctl)),
             None => Scheduler::with_faults(self.threads, self.window, self.faults),
         });
-        let _in_flight = InFlightGuard::new(self.threads);
         let mut joins = Vec::with_capacity(self.threads);
         for id in 0..self.threads {
             let body = body.clone();
@@ -362,20 +326,6 @@ mod tests {
         assert_eq!(a.fault_stats, b.fault_stats, "same seed, same stats");
         assert!(a.makespan > base.makespan, "faults must cost simulated time");
         assert!(a.fault_stats.iter().any(|s| s.preemptions > 0));
-    }
-
-    #[test]
-    fn in_flight_gauge_counts_own_run() {
-        // Other tests may run sims concurrently in this process, so only
-        // one-directional claims are safe: while our 3-thread run is
-        // live, the gauge must report at least our contribution.
-        let out = SimBuilder::new(3).window(0).run(|ctx| {
-            ctx.handle.advance(1);
-            sim_threads_in_flight()
-        });
-        for seen in out.results {
-            assert!(seen >= 3, "gauge reported {seen} while 3 of ours were live");
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum TraceEvent {
     /// trace never drifts from the aggregate counters).
     TxnAbort(AbortCause),
     /// A lock was acquired non-speculatively; the payload is the raw
-    /// index of the lock's primary word (its identity for lint passes).
+    /// index of the lock's primary word (the lock's identity).
     LockAcquire(u32),
     /// A lock was released non-speculatively; the payload is the raw
     /// index of the lock's primary word.
@@ -114,84 +114,6 @@ impl TraceRing {
     }
 }
 
-/// One entry of a [`GlobalTrace`]: a per-thread trace event tagged with
-/// the thread that recorded it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GlobalEvent {
-    /// Logical time the event was recorded at.
-    pub time: u64,
-    /// The recording simulated thread.
-    pub tid: usize,
-    /// The recorded event.
-    pub event: TraceEvent,
-}
-
-/// A total-order merge of per-thread [`TraceRing`]s.
-///
-/// Events are ordered by `(time, tid)` with same-thread events keeping
-/// their ring (program) order. Under the strict scheduler window the
-/// runnable thread is always the one with the lexicographically smallest
-/// `(clock, id)`, so this ordering *is* the execution order — which is
-/// what makes cross-thread protocol lints (lock discipline, subscription
-/// ordering) sound over the merged trace.
-#[derive(Debug, Clone, Default)]
-pub struct GlobalTrace {
-    events: Vec<GlobalEvent>,
-    dropped: u64,
-}
-
-impl GlobalTrace {
-    /// Merge `(tid, ring)` pairs into one totally ordered trace.
-    pub fn merge<'a>(rings: impl IntoIterator<Item = (usize, &'a TraceRing)>) -> Self {
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        for (tid, ring) in rings {
-            dropped += ring.dropped();
-            for &(time, event) in ring.events() {
-                events.push(GlobalEvent { time, tid, event });
-            }
-        }
-        // Stable sort: same-(time, tid) entries keep ring order.
-        events.sort_by_key(|e| (e.time, e.tid));
-        GlobalTrace { events, dropped }
-    }
-
-    /// The merged events, in execution order.
-    pub fn events(&self) -> &[GlobalEvent] {
-        &self.events
-    }
-
-    /// Number of merged events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the merge is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events evicted from the source rings before merging. A
-    /// nonzero value means the merge has gaps: lint passes that track
-    /// balanced acquire/release or begin/commit pairs are unreliable on
-    /// truncated traces and should refuse to run.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Render the merged trace as aligned text, one event per line.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        if self.dropped > 0 {
-            out.push_str(&format!("... {} events dropped before merging ...\n", self.dropped));
-        }
-        for e in &self.events {
-            out.push_str(&format!("{:>12}  t{:<3} {}\n", e.time, e.tid, e.event));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,43 +167,5 @@ mod tests {
     #[should_panic(expected = "room for at least one")]
     fn zero_capacity_rejected() {
         TraceRing::new(0);
-    }
-
-    #[test]
-    fn global_merge_orders_by_time_then_tid() {
-        let mut r0 = TraceRing::new(8);
-        r0.record(5, TraceEvent::LockAcquire(0));
-        r0.record(9, TraceEvent::LockRelease(0));
-        let mut r1 = TraceRing::new(8);
-        r1.record(2, TraceEvent::TxnBegin);
-        r1.record(5, TraceEvent::TxnCommit);
-        let g = GlobalTrace::merge([(0, &r0), (1, &r1)]);
-        let seq: Vec<(u64, usize)> = g.events().iter().map(|e| (e.time, e.tid)).collect();
-        assert_eq!(seq, vec![(2, 1), (5, 0), (5, 1), (9, 0)]);
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.dropped(), 0);
-        assert!(g.dump().contains("lock-release(0)"));
-    }
-
-    #[test]
-    fn global_merge_keeps_program_order_within_a_thread() {
-        // Two same-time events on one thread must keep ring order even
-        // though the sort key cannot distinguish them.
-        let mut r = TraceRing::new(8);
-        r.record(3, TraceEvent::TxnBegin);
-        r.record(3, TraceEvent::TxnCommit);
-        let g = GlobalTrace::merge([(0, &r)]);
-        assert_eq!(g.events()[0].event, TraceEvent::TxnBegin);
-        assert_eq!(g.events()[1].event, TraceEvent::TxnCommit);
-    }
-
-    #[test]
-    fn global_merge_propagates_drops() {
-        let mut r = TraceRing::new(1);
-        r.record(1, TraceEvent::TxnBegin);
-        r.record(2, TraceEvent::TxnCommit);
-        let g = GlobalTrace::merge([(0, &r)]);
-        assert_eq!(g.dropped(), 1);
-        assert!(g.dump().contains("dropped before merging"));
     }
 }

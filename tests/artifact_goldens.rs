@@ -142,7 +142,11 @@ fn modelcheck_quick_artifact_matches_pre_rewrite_golden() {
 // cause-enumerating artifact gains a `dangerous` bucket (zero in all
 // default-config runs — the screen only fires under lazy subscription),
 // while the CSV throughput columns are untouched.
+// The MODELCHECK.json hash was re-captured once when the lint pass moved
+// onto the sanitizer log: one lint site of the seeded double-release
+// counterexample now carries sanitizer-log coordinates (time 56, seq 13)
+// instead of merged-trace ones (time 11, seq 4); no other byte moved.
 const GOLDEN_FIG2_CSV: u64 = 0xd6cc_7b01_f6ed_1939;
 const GOLDEN_FIG2_JSON: u64 = 0xfa0d_86b0_a82f_33e6;
 const GOLDEN_PERF_GATE_JSON: u64 = 0xa36d_d358_d5f5_4d7f;
-const GOLDEN_MODELCHECK_JSON: u64 = 0x1331_dd5f_75c2_f000;
+const GOLDEN_MODELCHECK_JSON: u64 = 0xbe70_2f0a_432a_9537;
