@@ -15,11 +15,9 @@
 //!    threads via `elision_sim` and returns a value;
 //! 3. all printing/reporting happens *after* the sweep, sequentially.
 //!
-//! Because each cell internally spawns `spec.threads` OS threads, naive
-//! `jobs × threads` oversubscription could swamp the host; a [`Sweep`]
-//! therefore enforces a global cap on concurrent *simulated* threads with
-//! a weighted budget (acquired for a cell's declared thread count before
-//! it runs).
+//! A window-0 cell runs one simulated thread at a time however many it
+//! spawns, so each cell loads the host like one thread and `--jobs` alone
+//! bounds host load.
 //!
 //! Host wall-clock per cell and per sweep is recorded in a [`TimingLog`]
 //! and written as `TIMING_<binary>.json` next to the metrics reports.
@@ -32,12 +30,12 @@ use crate::cli::CliArgs;
 use crate::metrics::{Json, SCHEMA_VERSION};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One unit of sweep work: a closure producing the cell's result, plus a
-/// canonical row key (used for timing attribution) and the number of
-/// simulated threads the cell will spawn (its budget weight).
+/// canonical row key and the number of simulated threads the cell will
+/// spawn (both recorded in its timing).
 pub struct Cell<'a, T> {
     key: String,
     sim_threads: usize,
@@ -46,9 +44,8 @@ pub struct Cell<'a, T> {
 
 impl<'a, T> Cell<'a, T> {
     /// Create a cell. `sim_threads` is the number of simulated threads
-    /// the closure will have in flight (used for the global budget); a
-    /// cell that runs several benchmarks back-to-back should declare the
-    /// maximum it uses at once.
+    /// the closure will have in flight; a cell that runs several
+    /// benchmarks back-to-back should declare the maximum it uses at once.
     pub fn new(
         key: impl Into<String>,
         sim_threads: usize,
@@ -82,65 +79,21 @@ pub struct SweepOutcome<T> {
     pub wall_ms: u64,
 }
 
-/// A weighted counting semaphore bounding concurrent simulated threads.
-///
-/// Weights larger than the cap are clamped on acquisition so a single
-/// oversized cell can still run (alone) instead of deadlocking.
-struct Budget {
-    cap: usize,
-    used: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Budget {
-    fn new(cap: usize) -> Self {
-        Budget { cap: cap.max(1), used: Mutex::new(0), cv: Condvar::new() }
-    }
-
-    fn acquire(&self, weight: usize) -> usize {
-        let weight = weight.clamp(1, self.cap);
-        let mut used = self.used.lock().expect("budget poisoned");
-        while *used + weight > self.cap {
-            used = self.cv.wait(used).expect("budget poisoned");
-        }
-        *used += weight;
-        weight
-    }
-
-    fn release(&self, weight: usize) {
-        let mut used = self.used.lock().expect("budget poisoned");
-        *used -= weight;
-        drop(used);
-        self.cv.notify_all();
-    }
-}
-
-/// The sweep executor: a fixed-size host thread pool plus the simulated
-/// thread budget.
+/// The sweep executor: a fixed-size host thread pool.
 #[derive(Debug, Clone, Copy)]
 pub struct Sweep {
     jobs: usize,
-    sim_cap: usize,
 }
 
 impl Sweep {
-    /// An executor running up to `jobs` cells concurrently. The simulated
-    /// thread cap defaults to `jobs × PAPER_THREADS` (so a pool of
-    /// paper-sized cells is never throttled by default).
+    /// An executor running up to `jobs` cells concurrently.
     pub fn new(jobs: usize) -> Self {
-        let jobs = jobs.max(1);
-        Sweep { jobs, sim_cap: jobs * crate::PAPER_THREADS }
+        Sweep { jobs: jobs.max(1) }
     }
 
     /// An executor configured from the shared CLI flags (`--jobs`).
     pub fn from_args(args: &CliArgs) -> Self {
         Sweep::new(args.jobs)
-    }
-
-    /// Override the global cap on concurrent simulated threads.
-    pub fn sim_cap(mut self, cap: usize) -> Self {
-        self.sim_cap = cap.max(1);
-        self
     }
 
     /// Host-parallelism level of this executor.
@@ -170,7 +123,6 @@ impl Sweep {
             let out: Vec<Mutex<Option<(T, CellTiming)>>> =
                 (0..n).map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
-            let budget = Budget::new(self.sim_cap);
             std::thread::scope(|scope| {
                 for _ in 0..jobs {
                     scope.spawn(|| loop {
@@ -183,9 +135,7 @@ impl Sweep {
                             .expect("work slot poisoned")
                             .take()
                             .expect("each cell is taken exactly once");
-                        let held = budget.acquire(cell.sim_threads);
                         let result = Self::execute(cell);
-                        budget.release(held);
                         *out[i].lock().expect("result slot poisoned") = Some(result);
                     });
                 }
@@ -292,7 +242,6 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsReport;
     use proptest::prelude::*;
-    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     /// Cells completing in shuffled order must merge back canonically.
@@ -325,44 +274,6 @@ mod tests {
         let out = Sweep::new(4).run(Vec::<Cell<'_, u8>>::new());
         assert!(out.results.is_empty());
         assert!(out.timings.is_empty());
-    }
-
-    #[test]
-    fn budget_caps_concurrent_weight() {
-        // Each cell holds `weight` units of a shared gauge while it runs;
-        // the gauge must never exceed the cap. The budget acquires before
-        // the closure runs and releases after, so this is exact, not a
-        // sampling race.
-        const CAP: usize = 8;
-        let in_use = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let cells: Vec<Cell<'_, ()>> = (0..24)
-            .map(|i| {
-                let weight = 2 + i % 5; // 2..=6
-                let in_use = &in_use;
-                let peak = &peak;
-                Cell::new(format!("w{i}"), weight, move || {
-                    let now = in_use.fetch_add(weight, Ordering::SeqCst) + weight;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(2));
-                    in_use.fetch_sub(weight, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        Sweep::new(8).sim_cap(CAP).run(cells);
-        assert!(
-            peak.load(Ordering::SeqCst) <= CAP,
-            "budget let {} simulated threads run under a cap of {CAP}",
-            peak.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn oversized_cell_is_clamped_not_deadlocked() {
-        let out = Sweep::new(2)
-            .sim_cap(4)
-            .run(vec![Cell::new("huge", 64, || 1u32), Cell::new("small", 1, || 2u32)]);
-        assert_eq!(out.results, vec![1, 2]);
     }
 
     #[test]
@@ -429,7 +340,7 @@ mod tests {
                 (table.render(), rep.to_json().render())
             };
             let seq = Sweep::new(1).run(make_cells());
-            let par = Sweep::new(jobs).sim_cap(8).run(make_cells());
+            let par = Sweep::new(jobs).run(make_cells());
             prop_assert_eq!(&seq.results, &par.results);
             let (seq_csv, seq_json) = render(&seq);
             let (par_csv, par_json) = render(&par);

@@ -1,9 +1,14 @@
-//! Controlled serialized scheduling for the model checker.
+//! The model checker's scheduling chooser and schedule recorder.
 //!
-//! In controlled mode the simulator runs exactly one thread at a time:
-//! every [`crate::SimHandle::advance`] call is a *decision point* where a
-//! [`ScheduleControl`] picks which thread executes the next segment. The
-//! default choice is the same `(clock, id)`-minimal rule the window-0
+//! A controlled run is a window-0 run whose picks can be overridden.
+//! The scheduler (see [`crate::Scheduler`]) makes one pick at every
+//! decision point: each [`crate::SimHandle::advance`] and finish of the
+//! running thread, once every live thread has reached its first
+//! `advance`. In a controlled run it asks [`ScheduleControl`] for that
+//! pick and then uses the same park/wake hand-off as a free-running
+//! window-0 run; the control itself never blocks anyone.
+//!
+//! The default pick is the same `(clock, id)`-minimal rule the window-0
 //! scheduler uses, so a run with no overrides reproduces the standard
 //! window-0 execution exactly. A schedule is a sparse map from decision
 //! index to thread id; forcing a choice different from the default is a
@@ -19,7 +24,7 @@
 //! preemption hooks are bypassed) — chaos explores timing, the model
 //! checker explores orderings, and mixing the two would double-count.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
 /// One shared-memory access performed during a schedule step.
@@ -46,18 +51,7 @@ pub struct StepRecord {
     pub accesses: Vec<StepAccess>,
 }
 
-struct CtlInner {
-    /// All threads have reached their first decision point (or finished).
-    started: bool,
-    /// Thread currently allowed to run, if any.
-    granted: Option<usize>,
-    arrived: Vec<bool>,
-    done: Vec<bool>,
-    steps: Vec<StepRecord>,
-    divergences: u32,
-}
-
-/// Serializes a simulated run and records/replays its schedule.
+/// Chooses every pick of a controlled run and records the schedule.
 ///
 /// Construct one per run, hand it to
 /// [`crate::SimBuilder::control`], and read back [`ScheduleControl::steps`]
@@ -66,11 +60,12 @@ struct CtlInner {
 /// never reached) is silently ignored, which keeps schedule minimization
 /// robust when dropping earlier forced choices shortens the run.
 pub struct ScheduleControl {
-    inner: Mutex<CtlInner>,
-    cv: Condvar,
     threads: usize,
     overrides: BTreeMap<usize, usize>,
     max_steps: usize,
+    /// The decisions so far. Only the running thread appends to it, so
+    /// the lock is uncontended; it makes the log shareable via `&self`.
+    steps: Mutex<Vec<StepRecord>>,
 }
 
 impl std::fmt::Debug for ScheduleControl {
@@ -85,7 +80,7 @@ impl std::fmt::Debug for ScheduleControl {
 
 impl ScheduleControl {
     /// Default runaway backstop on the number of decision steps.
-    pub const DEFAULT_MAX_STEPS: usize = 200_000;
+    pub(crate) const DEFAULT_MAX_STEPS: usize = 200_000;
 
     /// New control for `threads` simulated threads replaying `overrides`.
     #[must_use]
@@ -94,8 +89,7 @@ impl ScheduleControl {
     }
 
     /// As [`ScheduleControl::new`] with an explicit step backstop.
-    #[must_use]
-    pub fn with_max_steps(
+    pub(crate) fn with_max_steps(
         threads: usize,
         overrides: BTreeMap<usize, usize>,
         max_steps: usize,
@@ -104,111 +98,40 @@ impl ScheduleControl {
         for (&idx, &tid) in &overrides {
             assert!(tid < threads, "override at step {idx} targets out-of-range thread {tid}");
         }
-        Self {
-            inner: Mutex::new(CtlInner {
-                started: false,
-                granted: None,
-                arrived: vec![false; threads],
-                done: vec![false; threads],
-                steps: Vec::new(),
-                divergences: 0,
-            }),
-            cv: Condvar::new(),
-            threads,
-            overrides,
-            max_steps,
-        }
+        Self { threads, overrides, max_steps, steps: Mutex::new(Vec::new()) }
     }
 
-    /// Pick the next thread to run. Caller holds the inner lock; every
-    /// live thread other than the caller is parked in [`Self::wait_turn`].
-    fn decide(&self, g: &mut CtlInner, clock_of: &dyn Fn(usize) -> u64) {
-        let enabled: Vec<usize> = (0..self.threads).filter(|&t| !g.done[t]).collect();
-        debug_assert!(!enabled.is_empty(), "decide called with no live threads");
-        let default =
-            enabled.iter().copied().min_by_key(|&t| (clock_of(t), t)).expect("nonempty enabled");
-        let idx = g.steps.len();
+    /// Make and record the next decision: the override at this decision
+    /// index if its target is still live, else the `(clock, id)`-minimal
+    /// default. `clock_of(t)` is thread `t`'s clock, `None` once it has
+    /// finished. Returns `None` when every thread has finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run exceeds its step backstop.
+    pub(crate) fn pick(&self, clock_of: impl Fn(usize) -> Option<u64>) -> Option<usize> {
+        let enabled: Vec<usize> = (0..self.threads).filter(|&t| clock_of(t).is_some()).collect();
+        let default = enabled.iter().copied().min_by_key(|&t| (clock_of(t), t))?;
+        let mut steps = self.steps.lock();
+        let idx = steps.len();
         assert!(
             idx < self.max_steps,
             "controlled run exceeded {} decision steps (runaway schedule?)",
             self.max_steps
         );
-        let mut chosen = default;
-        if let Some(&want) = self.overrides.get(&idx) {
-            if !g.done[want] {
-                chosen = want;
-            }
-        }
-        if chosen != default {
-            g.divergences += 1;
-        }
-        g.steps.push(StepRecord {
-            chosen,
-            default,
-            enabled,
-            clock: clock_of(chosen),
-            accesses: Vec::new(),
-        });
-        g.granted = Some(chosen);
-    }
-
-    fn wait_turn(&self, g: &mut parking_lot::MutexGuard<'_, CtlInner>, id: usize) {
-        while g.granted != Some(id) {
-            self.cv.wait(g);
-        }
-    }
-
-    /// Called by the scheduler on every `advance` in controlled mode.
-    /// Blocks until this thread is granted the next segment.
-    pub(crate) fn at_decision_point(&self, id: usize, clock_of: &dyn Fn(usize) -> u64) {
-        let mut g = self.inner.lock();
-        if g.started {
-            // Only the granted thread can be executing; it just ended its
-            // segment, so pick the next one.
-            debug_assert_eq!(g.granted, Some(id), "non-granted thread reached a decision point");
-            g.granted = None;
-            self.decide(&mut g, clock_of);
-            self.cv.notify_all();
-        } else {
-            g.arrived[id] = true;
-            if g.arrived.iter().zip(&g.done).all(|(&a, &d)| a || d) {
-                g.started = true;
-                self.decide(&mut g, clock_of);
-                self.cv.notify_all();
-            }
-        }
-        self.wait_turn(&mut g, id);
-    }
-
-    /// Called by the scheduler when a thread finishes in controlled mode.
-    pub(crate) fn thread_finished(&self, id: usize, clock_of: &dyn Fn(usize) -> u64) {
-        let mut g = self.inner.lock();
-        g.done[id] = true;
-        if g.started {
-            debug_assert_eq!(g.granted, Some(id), "non-granted thread finished");
-            g.granted = None;
-            if g.done.iter().all(|&d| d) {
-                return;
-            }
-            self.decide(&mut g, clock_of);
-            self.cv.notify_all();
-        } else {
-            // A thread may finish without ever reaching a decision point
-            // (empty body); treat that as arrival so the run can start.
-            g.arrived[id] = true;
-            let all_here = g.arrived.iter().zip(&g.done).all(|(&a, &d)| a || d);
-            if all_here && g.done.iter().any(|&d| !d) {
-                g.started = true;
-                self.decide(&mut g, clock_of);
-                self.cv.notify_all();
-            }
-        }
+        let chosen = match self.overrides.get(&idx) {
+            Some(&want) if enabled.contains(&want) => want,
+            _ => default,
+        };
+        let clock = clock_of(chosen).expect("chosen thread is live");
+        steps.push(StepRecord { chosen, default, enabled, clock, accesses: Vec::new() });
+        Some(chosen)
     }
 
     /// Record a shared-line access by the currently granted thread.
     pub(crate) fn note_access(&self, id: usize, line: u32, write: bool) {
-        let mut g = self.inner.lock();
-        if let Some(step) = g.steps.last_mut() {
+        let mut steps = self.steps.lock();
+        if let Some(step) = steps.last_mut() {
             debug_assert_eq!(step.chosen, id, "access noted by non-granted thread");
             step.accesses.push(StepAccess { line, write });
         }
@@ -218,19 +141,19 @@ impl ScheduleControl {
     /// execution, so usable as a logical timestamp for history recording.
     #[must_use]
     pub fn steps_taken(&self) -> usize {
-        self.inner.lock().steps.len()
+        self.steps.lock().len()
     }
 
     /// The recorded schedule (one entry per decision point).
     #[must_use]
     pub fn steps(&self) -> Vec<StepRecord> {
-        self.inner.lock().steps.clone()
+        self.steps.lock().clone()
     }
 
     /// How many decisions differed from the window-0 default choice.
-    #[must_use]
-    pub fn divergences(&self) -> u32 {
-        self.inner.lock().divergences
+    #[cfg(test)]
+    pub(crate) fn divergences(&self) -> usize {
+        self.steps.lock().iter().filter(|s| s.chosen != s.default).count()
     }
 
     /// Number of simulated threads under control.

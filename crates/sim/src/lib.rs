@@ -64,6 +64,7 @@ pub use slots::{CauseSlotRecorder, CauseSlotSeries, SlotRecorder, SlotSeries};
 pub use stats::{AbortCause, AttemptKind, CauseHistogram, ConflictLineHistogram, OpCounters};
 pub use trace::{TraceEvent, TraceRing};
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Per-thread context handed to each simulated thread's body.
@@ -172,19 +173,28 @@ impl SimBuilder {
     ///
     /// `body` is cloned per thread; shared state should be captured via
     /// `Arc`. The call blocks until every simulated thread finishes.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the thread and its panic message, when a simulated
+    /// thread panics; its parked peers are released rather than left
+    /// waiting for it.
     pub fn run<R, F>(&self, body: F) -> SimOutcome<R>
     where
         R: Send + 'static,
         F: Fn(ThreadCtx) -> R + Clone + Send + 'static,
     {
-        let sched = Arc::new(match &self.control {
-            Some(ctl) => Scheduler::with_control(self.threads, Arc::clone(ctl)),
-            None => Scheduler::with_faults(self.threads, self.window, self.faults),
-        });
+        let sched = Arc::new(Scheduler::build(
+            self.threads,
+            self.window,
+            self.faults,
+            self.control.clone(),
+        ));
         let mut joins = Vec::with_capacity(self.threads);
         for id in 0..self.threads {
             let body = body.clone();
             let handle = SimHandle::new(Arc::clone(&sched), id);
+            let sched = Arc::clone(&sched);
             joins.push(
                 std::thread::Builder::new()
                     .name(format!("sim-{id}"))
@@ -192,22 +202,30 @@ impl SimBuilder {
                         // Wait for all threads to be registered so the
                         // initial min-clock computation sees everyone.
                         handle.wait_for_start();
-                        let r = body(ThreadCtx { id, handle: handle.clone() });
-                        let end = handle.now();
-                        handle.finish();
-                        (r, end)
+                        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                            let r = body(ThreadCtx { id, handle: handle.clone() });
+                            let end = handle.now();
+                            handle.finish();
+                            (r, end)
+                        }));
+                        if let Err(payload) = &run {
+                            sched.poison(id, payload.as_ref());
+                        }
+                        run.ok()
                     })
                     .expect("spawning simulated thread"),
             );
         }
         sched.release_start();
-        let mut results = Vec::with_capacity(self.threads);
-        let mut end_times = Vec::with_capacity(self.threads);
-        for j in joins {
-            let (r, end) = j.join().expect("simulated thread panicked");
-            results.push(r);
-            end_times.push(end);
+        let runs: Vec<Option<(R, u64)>> = joins
+            .into_iter()
+            .map(|j| j.join().expect("simulated threads catch their own panics"))
+            .collect();
+        if let Some((id, msg)) = sched.first_panic() {
+            panic!("simulated thread panicked (thread {id}): {msg}");
         }
+        let (results, end_times): (Vec<R>, Vec<u64>) =
+            runs.into_iter().map(|r| r.expect("no simulated thread panicked")).unzip();
         let makespan = end_times.iter().copied().max().unwrap_or(0);
         let fault_stats = (0..self.threads).filter_map(|id| sched.fault_stats(id)).collect();
         SimOutcome { results, end_times, makespan, fault_stats }
@@ -217,7 +235,11 @@ impl SimBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn single_thread_clock_accumulates() {
@@ -337,5 +359,81 @@ mod tests {
             }
         });
         assert_eq!(out.makespan, 10);
+    }
+
+    /// Log `(id, clock)` after every advance of a 3-thread run with uneven
+    /// costs, zero-cost first advances and a thread that finishes without
+    /// advancing.
+    fn logged_run(builder: SimBuilder) -> (Vec<(usize, u64)>, Vec<u64>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let out = builder.run({
+            let log = Arc::clone(&log);
+            move |ctx| {
+                if ctx.id == 2 {
+                    return;
+                }
+                for i in 0..40u64 {
+                    let cost = if i == 0 { 0 } else { 1 + (i * (ctx.id as u64 + 3)) % 7 };
+                    ctx.handle.advance(cost);
+                    log.lock().push((ctx.id, ctx.handle.now()));
+                }
+            }
+        });
+        let log = log.lock().clone();
+        (log, out.end_times)
+    }
+
+    #[test]
+    fn controlled_run_without_overrides_is_the_window0_run() {
+        let free = logged_run(SimBuilder::new(3).window(0));
+        let ctl = Arc::new(ScheduleControl::new(3, BTreeMap::new()));
+        let controlled = logged_run(SimBuilder::new(3).control(Arc::clone(&ctl)));
+        assert_eq!(free, controlled);
+        assert!(ctl.steps().iter().all(|s| s.chosen == s.default));
+    }
+
+    /// Run `f` on a helper thread and return its panic message, failing
+    /// instead of hanging if it has not returned within a bounded time.
+    fn panic_message_of(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let msg = panic::catch_unwind(AssertUnwindSafe(f)).err().map(|p| {
+                p.downcast_ref::<String>().cloned().unwrap_or_else(|| "non-string".to_string())
+            });
+            tx.send(msg).expect("test thread is waiting");
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("run hung after a simulated thread panicked")
+            .expect("run must panic when a simulated thread does")
+    }
+
+    /// Three threads of 100 advances each; thread 1 panics after 10.
+    fn panicking_run(builder: SimBuilder) {
+        builder.run(|ctx| {
+            for i in 0..100 {
+                assert!(!(ctx.id == 1 && i == 10), "gave up");
+                ctx.handle.advance(1);
+            }
+        });
+    }
+
+    #[test]
+    fn panicking_thread_fails_the_run_instead_of_hanging() {
+        for window in [0, 16] {
+            let msg = panic_message_of(move || panicking_run(SimBuilder::new(3).window(window)));
+            assert!(msg.ends_with("(thread 1): gave up"), "{msg}");
+        }
+        let ctl = Arc::new(ScheduleControl::new(3, BTreeMap::new()));
+        let msg = panic_message_of(move || panicking_run(SimBuilder::new(3).control(ctl)));
+        assert!(msg.ends_with("(thread 1): gave up"), "{msg}");
+    }
+
+    #[test]
+    fn step_backstop_fails_the_run_instead_of_hanging() {
+        // Equal costs rotate the turn 0, 1, 2, 0, 1; thread 1 makes the
+        // sixth pick, which overruns the backstop.
+        let ctl = Arc::new(ScheduleControl::with_max_steps(3, BTreeMap::new(), 5));
+        let msg = panic_message_of(move || panicking_run(SimBuilder::new(3).control(ctl)));
+        assert!(msg.contains("(thread 1): controlled run exceeded 5 decision steps"), "{msg}");
     }
 }

@@ -8,38 +8,40 @@
 //! clock(self) <= min(clock(t) for live t) + window
 //! ```
 //!
-//! With `window == 0` the rule tightens to "only the lexicographically
-//! smallest `(clock, id)` runs", which yields a fully deterministic
-//! interleaving.
+//! With `window == 0` the rule tightens to "only the thread the last pick
+//! named runs". A free-running run picks the lexicographically smallest
+//! `(clock, id)`, which yields a fully deterministic interleaving; a
+//! controlled run asks its [`ScheduleControl`] for each pick instead (see
+//! the [`crate::control`] module), and makes the first one only once every
+//! live thread has reached its first `advance`.
 //!
 //! # Parking
 //!
-//! Threads that violate the rule park on a **per-thread** mutex/condvar
-//! pair, and clock changes issue *directed* wakeups: after bumping its
-//! clock (or finishing), a thread scans the clocks once and notifies only
-//! the peers the new minimum makes runnable — exactly one thread (the new
-//! lexicographic minimum) at window 0. The previous design parked every
-//! blocked thread on one shared condvar and `notify_all`'d it after every
-//! clock change; at window 0 that is a thundering herd of `threads - 1`
-//! sleepers woken (and mostly re-parked) per baton hand-off, which on a
-//! single-CPU host made futex traffic — not simulated work — the dominant
-//! cost of every benchmark.
+//! Every run, free or controlled, uses one hand-off protocol. After
+//! bumping its clock (or finishing), a thread makes the pick and issues
+//! *directed* wakeups to the peers it makes runnable — exactly one thread
+//! (the one picked) at window 0, every thread back inside the lag window
+//! otherwise. A thread the rule does not admit parks on its own
+//! mutex/condvar pair. A free-running pick is one scan of the clocks; a
+//! controlled pick is the control's choice, published in `turn`.
 //!
 //! No wakeup is lost: a parker takes its own mutex, publishes its parked
-//! flag, and re-checks runnability *before* waiting; a waker bumps the
-//! clock first and then takes the target's mutex to notify. Everything is
-//! `SeqCst`, so either the waker's scan sees the parked flag (and
-//! notifies under the mutex, which the parker holds until it waits), or
-//! the parker's runnability re-check sees the waker's new clock.
+//! flag, and re-checks runnability *before* waiting; a waker publishes its
+//! new clock (or `turn`) first and then takes the target's mutex to
+//! notify. Everything is `SeqCst`, so either the waker's scan sees the
+//! parked flag (and notifies under the mutex, which the parker holds until
+//! it waits), or the parker's runnability re-check sees the waker's
+//! change.
 //!
-//! Which threads are runnable is a pure function of the clock vector, so
-//! wakeup mechanics cannot change window-0 schedules — every artifact is
-//! byte-identical to the broadcast design.
+//! A panicking simulated thread poisons the scheduler, which wakes every
+//! parker; parked peers then unwind out of `advance` instead of waiting for
+//! a thread that will never hand off again.
 
 use crate::control::ScheduleControl;
 use crate::fault::{FaultPlan, FaultStats, FaultThreadState};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::any::Any;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Maximum number of simulated threads (bounded by the conflict-bitmap
@@ -48,6 +50,9 @@ pub(crate) const MAX_THREADS: usize = 64;
 
 /// Sentinel clock value marking a finished thread.
 const DONE: u64 = u64::MAX;
+
+/// The unwind payload of a parked peer released by a poisoned scheduler.
+struct Poisoned;
 
 /// Pads an atomic to its own cache line to avoid host-level false sharing.
 #[derive(Debug)]
@@ -80,48 +85,61 @@ pub struct Scheduler {
     /// Each entry is only ever locked by its own thread, so the mutexes are
     /// uncontended — they exist to make the state shareable via `&self`.
     faults: Vec<Mutex<FaultThreadState>>,
-    /// When set, every `advance` is a serialized decision point driven by
-    /// the model checker instead of the bounded-lag parking rule.
+    /// When set, the model checker makes every window-0 pick.
     control: Option<Arc<ScheduleControl>>,
+    /// Controlled runs: the thread the last pick named (`usize::MAX`
+    /// before the first pick).
+    turn: AtomicUsize,
+    /// Controlled runs: threads that have neither reached their first
+    /// `advance` nor finished.
+    unarrived: AtomicUsize,
+    /// Set once a simulated thread panics.
+    poisoned: AtomicBool,
+    /// The first panicking thread and its panic message.
+    first_panic: Mutex<Option<(usize, String)>>,
 }
 
 impl Scheduler {
     /// Create a scheduler for `threads` simulated threads with the given
     /// bounded-lag `window`.
     pub fn new(threads: usize, window: u64) -> Self {
-        Self::with_faults(threads, window, FaultPlan::none())
+        Self::build(threads, window, FaultPlan::none(), None)
     }
 
-    /// Create a scheduler that additionally injects the faults described by
-    /// `plan` (see [`FaultPlan`]). An inactive plan is free.
-    pub fn with_faults(threads: usize, window: u64, plan: FaultPlan) -> Self {
+    /// Create a scheduler that injects the faults described by `plan` (see
+    /// [`FaultPlan`]; an inactive plan is free), or, given a `control`,
+    /// one whose picks that [`ScheduleControl`] makes. Controlled runs are
+    /// always window 0 and never inject faults: the clock still accrues
+    /// per-thread costs (it feeds the default min-clock pick and the final
+    /// makespan).
+    pub(crate) fn build(
+        threads: usize,
+        window: u64,
+        plan: FaultPlan,
+        control: Option<Arc<ScheduleControl>>,
+    ) -> Self {
         assert!((1..=MAX_THREADS).contains(&threads));
-        let faults = if plan.is_active() {
+        if let Some(ctl) = &control {
+            assert_eq!(ctl.threads(), threads, "control sized for a different thread count");
+        }
+        let faults = if plan.is_active() && control.is_none() {
             (0..threads).map(|tid| Mutex::new(FaultThreadState::new(plan, tid))).collect()
         } else {
             Vec::new()
         };
         Scheduler {
-            window,
+            window: if control.is_some() { 0 } else { window },
             times: (0..threads).map(|_| PaddedClock(AtomicU64::new(0))).collect(),
             parkers: (0..threads).map(|_| Parker::default()).collect(),
             start: Mutex::new(false),
             start_cv: Condvar::new(),
             faults,
-            control: None,
+            control,
+            turn: AtomicUsize::new(usize::MAX),
+            unarrived: AtomicUsize::new(threads),
+            poisoned: AtomicBool::new(false),
+            first_panic: Mutex::new(None),
         }
-    }
-
-    /// Create a scheduler whose interleaving is dictated by `control`
-    /// (see [`ScheduleControl`]). Controlled runs are always window 0 and
-    /// never inject faults: the clock still accrues per-thread costs (it
-    /// feeds the default min-clock choice and the final makespan), but
-    /// parking is replaced by the control's serialized turn-taking.
-    pub fn with_control(threads: usize, control: Arc<ScheduleControl>) -> Self {
-        assert_eq!(control.threads(), threads, "control sized for a different thread count");
-        let mut s = Self::with_faults(threads, 0, FaultPlan::none());
-        s.control = Some(control);
-        s
     }
 
     /// The faults injected so far into thread `id`, or `None` when the run
@@ -133,11 +151,6 @@ impl Scheduler {
     /// Number of simulated threads.
     pub fn threads(&self) -> usize {
         self.times.len()
-    }
-
-    /// The bounded-lag window.
-    pub fn window(&self) -> u64 {
-        self.window
     }
 
     /// Open the start gate, releasing all simulated threads.
@@ -155,7 +168,7 @@ impl Scheduler {
     }
 
     /// Read thread `id`'s clock (`u64::MAX` once finished).
-    pub fn time_of(&self, id: usize) -> u64 {
+    pub(crate) fn time_of(&self, id: usize) -> u64 {
         self.times[id].0.load(Ordering::SeqCst)
     }
 
@@ -175,6 +188,12 @@ impl Scheduler {
     }
 
     fn is_runnable(&self, id: usize, my_time: u64) -> bool {
+        if self.poisoned.load(Ordering::SeqCst) {
+            return true;
+        }
+        if self.control.is_some() {
+            return self.turn.load(Ordering::SeqCst) == id;
+        }
         let (min, min_id) = self.min_clock();
         if min == DONE {
             return true;
@@ -198,12 +217,12 @@ impl Scheduler {
         }
     }
 
-    /// Directed wakeups after a clock change by (or finish of) `id`: scan
-    /// the clocks once and notify exactly the peers the new state makes
-    /// runnable — the new lexicographic minimum at window 0, every thread
-    /// back inside the lag window otherwise. Returns the scanned
-    /// `(min, min_id)` so `advance` can reuse it for its own runnability
-    /// check without a second scan.
+    /// Directed wakeups after a clock change by (or finish of) `id` in a
+    /// free-running run: scan the clocks once and notify exactly the peers
+    /// the new state makes runnable — the new lexicographic minimum at
+    /// window 0, every thread back inside the lag window otherwise.
+    /// Returns the scanned `(min, min_id)` so `advance` can reuse it for
+    /// its own runnability check without a second scan.
     fn wake_runnable(&self, id: usize) -> (u64, usize) {
         let (min, min_id) = self.min_clock();
         if min == DONE {
@@ -229,25 +248,59 @@ impl Scheduler {
         (min, min_id)
     }
 
+    /// Make the pick that follows a clock change by (or the finish of)
+    /// `id`, now at clock `t`, wake whom it admits, and report whether `id`
+    /// may keep running.
+    fn hand_off(&self, id: usize, t: u64) -> bool {
+        if let Some(ctl) = &self.control {
+            // Only the thread the last pick named runs, so one that does
+            // not hold the turn is arriving: at its first `advance`, or
+            // finishing without one. The last to arrive makes the first
+            // pick; until then every arrived thread parks.
+            if self.turn.load(Ordering::SeqCst) != id
+                && self.unarrived.fetch_sub(1, Ordering::SeqCst) != 1
+            {
+                return false;
+            }
+            let clock_of = |tid| Some(self.time_of(tid)).filter(|&c| c != DONE);
+            let Some(next) = ctl.pick(clock_of) else {
+                return true;
+            };
+            self.turn.store(next, Ordering::SeqCst);
+            if next != id {
+                self.wake(next);
+            }
+            return next == id;
+        }
+        let (min, min_id) = self.wake_runnable(id);
+        if min == DONE {
+            true
+        } else if self.window == 0 {
+            (t, id) <= (min, min_id)
+        } else {
+            t <= min.saturating_add(self.window)
+        }
+    }
+
     /// Block until the bounded-lag rule readmits thread `id` at clock `t`.
+    /// Unwinds instead when the scheduler has been poisoned.
     fn park(&self, id: usize, t: u64) {
         let p = &self.parkers[id];
         let mut guard = p.mutex.lock();
         p.parked.store(true, Ordering::SeqCst);
         // Re-check under the mutex: a waker that missed our parked flag
-        // has already bumped its clock, so this check sees it.
+        // has already published its change, so this check sees it.
         while !self.is_runnable(id, t) {
             p.cv.wait(&mut guard);
         }
         p.parked.store(false, Ordering::SeqCst);
+        drop(guard);
+        if self.poisoned.load(Ordering::SeqCst) {
+            std::panic::resume_unwind(Box::new(Poisoned));
+        }
     }
 
     fn advance(&self, id: usize, cost: u64) {
-        if let Some(ctl) = &self.control {
-            self.times[id].0.fetch_add(cost, Ordering::SeqCst);
-            ctl.at_decision_point(id, &|tid| self.times[tid].0.load(Ordering::SeqCst));
-            return;
-        }
         let cost = match self.faults.get(id) {
             Some(f) => {
                 let now = self.times[id].0.load(Ordering::SeqCst);
@@ -256,34 +309,43 @@ impl Scheduler {
             None => cost,
         };
         let t = self.times[id].0.fetch_add(cost, Ordering::SeqCst) + cost;
-        // Single-thread fast path: alone, the bounded-lag rule is always
-        // satisfied and there is no one to wake (fill phases and
+        // Single-thread fast path: alone, a free run's bounded-lag rule is
+        // always satisfied and there is no one to wake (fill phases and
         // single-thread baselines take this branch on every advance).
-        if self.times.len() == 1 {
+        if self.times.len() == 1 && self.control.is_none() {
             return;
         }
-        let (min, min_id) = self.wake_runnable(id);
-        let runnable = if min == DONE {
-            true
-        } else if self.window == 0 {
-            (t, id) <= (min, min_id)
-        } else {
-            t <= min.saturating_add(self.window)
-        };
-        if !runnable {
+        if !self.hand_off(id, t) {
             self.park(id, t);
         }
     }
 
     fn finish(&self, id: usize) {
         self.times[id].0.store(DONE, Ordering::SeqCst);
-        if let Some(ctl) = &self.control {
-            ctl.thread_finished(id, &|tid| self.times[tid].0.load(Ordering::SeqCst));
-            return;
+        self.hand_off(id, DONE);
+    }
+
+    /// Record that thread `id` panicked with `payload` and release every
+    /// parked peer. Only the first panic is kept; the peers' own unwinds
+    /// (payload [`Poisoned`]) come after it.
+    pub(crate) fn poison(&self, id: usize, payload: &(dyn Any + Send)) {
+        self.first_panic.lock().get_or_insert_with(|| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            (id, msg)
+        });
+        self.poisoned.store(true, Ordering::SeqCst);
+        for t in 0..self.parkers.len() {
+            self.wake(t);
         }
-        if self.times.len() > 1 {
-            self.wake_runnable(id);
-        }
+    }
+
+    /// The first panicking thread and its panic message, if any panicked.
+    pub(crate) fn first_panic(&self) -> Option<(usize, String)> {
+        self.first_panic.lock().clone()
     }
 }
 
@@ -329,7 +391,7 @@ impl SimHandle {
     }
 
     /// Block until the start gate opens (all simulated threads spawned).
-    pub fn wait_for_start(&self) {
+    pub(crate) fn wait_for_start(&self) {
         self.sched.wait_for_start();
     }
 
@@ -356,7 +418,7 @@ impl SimHandle {
 
     /// Mark the thread finished, excluding it from min-clock computation
     /// so peers may run ahead freely.
-    pub fn finish(&self) {
+    pub(crate) fn finish(&self) {
         self.sched.finish(self.id);
     }
 }
