@@ -11,13 +11,12 @@
 //! words, all mutated through [`elision_core::Scheme::execute`] — small
 //! enough that the full word-level log fits comfortably, contended
 //! enough that every path (speculation, retries, fallback, SCM
-//! auxiliary serialization) is exercised. The run uses scheduler window
-//! 0 (the strict deterministic interleaving): that is what makes the
-//! sanitizer log's append order the execution order, which every pass
-//! relies on.
+//! auxiliary serialization) is exercised. The simulator runs one thread
+//! at a time: that is what makes the sanitizer log's append order the
+//! execution order, which every pass relies on.
 //!
-//! Note the cell runs under [`SchemeConfig::paper`] plus the sanitize
-//! flag — deliberately *without* the speculation circuit breaker: the
+//! Note the cell runs under [`SchemeConfig::paper`] — deliberately
+//! *without* the speculation circuit breaker: the
 //! breaker's lockdown path takes the main lock directly (bypassing the
 //! SCM auxiliary handshake), which is a deliberate liveness/discipline
 //! trade-off the lint pass would rightly flag.
@@ -190,9 +189,7 @@ pub fn analyze_run(
 pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
-    let mut cfg = SchemeConfig::paper();
-    cfg.sanitize = true;
-    let scheme = make_scheme(spec.scheme, spec.lock, cfg, &mut b, spec.threads);
+    let scheme = make_scheme(spec.scheme, spec.lock, SchemeConfig::paper(), &mut b, spec.threads);
     let hot = b.alloc_isolated(0);
     let targets: Vec<VarId> = (0..TARGETS).map(|_| b.alloc_isolated(0)).collect();
     let mem = Arc::new(b.freeze(spec.threads));
@@ -203,7 +200,6 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
         let ops = spec.ops_per_thread;
         harness::run_arc_faulted(
             spec.threads,
-            0, // strict window: log order == execution order
             spec.htm,
             spec.seed,
             spec.faults,

@@ -15,7 +15,7 @@
 //! overrides `{0: c0, 1: c1, ..., k: ck}` pin the first `k + 1`
 //! scheduling decisions and every later decision follows the default
 //! `(clock, id)`-minimal rule (so the empty prefix is exactly the
-//! standard window-0 run). Re-executing the same prefix reproduces the
+//! standard free-running run). Re-executing the same prefix reproduces the
 //! same execution bit for bit, which is what makes stateless search and
 //! counterexample minimization possible.
 //!

@@ -4,8 +4,8 @@
 //! once, alone, on a single strand with the sanitizer log attached and a
 //! deterministic HTM configuration whose capacity is far above any real
 //! footprint. No interleavings are explored — the [`elision_htm::SanLog`]
-//! of the solo run *is* the operation's read/write set, because under
-//! strict window 0 with one thread the log order equals program order and
+//! of the solo run *is* the operation's read/write set, because with one
+//! thread the log order equals program order and
 //! every transactional access of the k-th attempt lands between the k-th
 //! `TxnBegin`/`TxnCommit` pair.
 //!
@@ -108,7 +108,7 @@ pub fn dry_run(mem: Memory, seed: u64, prefill: OpFn, ops: Vec<OpSpec>) -> Vec<O
         ops.iter().map(|o| (o.class.clone(), o.label.clone())).collect();
     let ops = Arc::new(ops);
     let prefill = Arc::new(prefill);
-    let (_, mem, _) = harness::run(1, 0, dry_run_config(), seed, mem, move |s| {
+    let (_, mem, _) = harness::run(1, dry_run_config(), seed, mem, move |s| {
         prefill(s).expect("non-transactional prefill cannot abort");
         for op in ops.iter() {
             if let Err(status) = s.attempt(|st| (op.run)(st)) {

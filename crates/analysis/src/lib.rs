@@ -19,8 +19,8 @@
 //! This crate checks all three *post hoc* over the one log the lower
 //! layers already produce: the [`elision_htm::SanLog`] (every memory
 //! access and protocol event — transaction lifecycle, lock transitions,
-//! subscription markers — in global execution order, sound under the
-//! simulator's strict window 0 and under the controlled scheduler).
+//! subscription markers — in global execution order, sound because the
+//! simulator runs one thread at a time, free-running or controlled).
 //! [`driver::analyze_run`] runs every pass over a finished run's log;
 //! [`driver::sanitize_run`] wires a whole scheme × lock × fault-plan cell
 //! through it; [`testkit`] provides known-bad schedules and workloads

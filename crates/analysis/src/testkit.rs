@@ -8,7 +8,7 @@
 //! in two flavours:
 //!
 //! * **Fixed-schedule runs** — the violation fires on the standard
-//!   window-0 schedule, so a single run exhibits it:
+//!   `(clock, id)`-minimal schedule, so a single run exhibits it:
 //!   [`broken_slr_schedule`] (the unsafe-lazy-subscription pitfall of
 //!   paper §5 — expected [`LintId::DataRace`] +
 //!   [`LintId::CommitWhileLockHeld`] + [`LintId::SlrUnsubscribedCommit`])
@@ -65,36 +65,29 @@ pub fn broken_slr_schedule() -> RunAnalysis {
     let mem = Arc::new(b.freeze(2));
     let threads = 2;
 
-    let (_, makespan) = {
+    let (_, _, makespan) = {
         let lock = Arc::clone(&lock);
-        harness::run_arc(
-            threads,
-            0, // strict window: required for log soundness
-            HtmConfig::deterministic(),
-            7,
-            Arc::clone(&mem),
-            move |s| {
-                if s.tid() == 0 {
-                    // The honest lock holder: a long critical section
-                    // mutating x then (much later) y.
-                    lock.acquire(s).expect("non-speculative acquire");
-                    s.store(x, 1).expect("plain store");
-                    s.work(5_000).expect("non-transactional work");
-                    s.store(y, 2).expect("plain store");
-                    lock.release(s).expect("non-speculative release");
-                } else {
-                    // The broken SLR transaction: reads the holder's
-                    // in-flight data and commits without subscribing.
-                    s.work(50).expect("non-transactional work");
-                    s.attempt(|s| {
-                        s.load(x)?;
-                        s.load(y)?;
-                        Ok(())
-                    })
-                    .expect("uncontended read-only txn commits");
-                }
-            },
-        )
+        harness::run(threads, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
+            if s.tid() == 0 {
+                // The honest lock holder: a long critical section
+                // mutating x then (much later) y.
+                lock.acquire(s).expect("non-speculative acquire");
+                s.store(x, 1).expect("plain store");
+                s.work(5_000).expect("non-transactional work");
+                s.store(y, 2).expect("plain store");
+                lock.release(s).expect("non-speculative release");
+            } else {
+                // The broken SLR transaction: reads the holder's
+                // in-flight data and commits without subscribing.
+                s.work(50).expect("non-transactional work");
+                s.attempt(|s| {
+                    s.load(x)?;
+                    s.load(y)?;
+                    Ok(())
+                })
+                .expect("uncontended read-only txn commits");
+            }
+        })
     };
     analyze_run(&mem, OpacityPolicy::Sandboxed, &ttas_rules(&lock, threads, true), makespan)
 }
@@ -107,9 +100,9 @@ pub fn double_release_schedule() -> RunAnalysis {
     let data = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(1));
 
-    let (_, makespan) = {
+    let (_, _, makespan) = {
         let lock = Arc::clone(&lock);
-        harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
+        harness::run(1, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
             lock.acquire(s).expect("non-speculative acquire");
             s.store(data, 1).expect("plain store");
             lock.release(s).expect("non-speculative release");
@@ -128,7 +121,7 @@ pub type ExploreRun = (Vec<StepRecord>, Vec<Finding>);
 
 /// Schedule-dependent broken SLR: an unsubscribed read-only transaction
 /// racing a non-speculative lock holder, arranged so the *default*
-/// window-0 schedule is clean.
+/// `(clock, id)`-minimal schedule is clean.
 ///
 /// Thread 1's transaction reads `x` and `y` and commits immediately,
 /// while thread 0 first burns a long stretch of non-critical work and

@@ -19,11 +19,6 @@ pub struct CliArgs {
     /// Defaults to the host's available parallelism; results are
     /// byte-identical at any value (see `crate::sweep`).
     pub jobs: usize,
-    /// Scheduler lag window in cycles (`--window N`). The default of 0
-    /// keeps every run — and thus every CSV/JSON artifact — a pure
-    /// function of the seeds; larger windows trade that reproducibility
-    /// for host speed.
-    pub window: u64,
     /// Directory to drop CSV files into.
     pub csv: Option<PathBuf>,
     /// Directory to drop JSON metrics files into (`--metrics DIR`).
@@ -41,7 +36,6 @@ impl Default for CliArgs {
             seeds: 3,
             threads: crate::PAPER_THREADS,
             jobs: default_jobs(),
-            window: 0,
             csv: None,
             metrics: None,
             chaos: ChaosProfile::None,
@@ -81,12 +75,6 @@ impl CliArgs {
                         it.next().unwrap_or_else(|| usage("--csv needs a directory")),
                     ));
                 }
-                "--window" => {
-                    out.window = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--window needs a number"));
-                }
                 "--metrics" => {
                     out.metrics = Some(PathBuf::from(
                         it.next().unwrap_or_else(|| usage("--metrics needs a directory")),
@@ -122,7 +110,7 @@ fn default_jobs() -> usize {
 pub(crate) fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: elision <experiment> [--quick] [--full] [--seeds N] [--threads N] [--jobs N] [--window N] \
+        "usage: elision <experiment> [--quick] [--full] [--seeds N] [--threads N] [--jobs N] \
          [--csv DIR] [--metrics DIR] [--chaos PROFILE]"
     );
     eprintln!("chaos profiles: {}", crate::chaos::ChaosProfile::ALL.map(|p| p.label()).join(", "));
@@ -153,12 +141,6 @@ mod tests {
         assert_eq!(a.seeds, 5);
         assert_eq!(a.threads, 4);
         assert_eq!(a.csv.unwrap(), PathBuf::from("/tmp/x"));
-    }
-
-    #[test]
-    fn window_defaults_to_deterministic() {
-        assert_eq!(parse(&[]).window, 0);
-        assert_eq!(parse(&["--window", "16"]).window, 16);
     }
 
     #[test]

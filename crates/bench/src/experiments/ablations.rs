@@ -41,7 +41,6 @@ pub(super) fn ablation_spurious(d: &mut Driver<'_>) {
                     OpMix::LOOKUP_ONLY,
                 );
                 spec.ops_per_thread = ops;
-                spec.window = args.window;
                 spec.htm = HtmConfig::haswell().with_spurious(rate, 0.0);
                 run_tree_bench_avg(&spec, args.seeds)
             }));
@@ -105,7 +104,7 @@ fn run_tree_128(
     tree.init(&mem);
     {
         let tree = tree.clone();
-        harness::run_arc(1, 0, HtmConfig::deterministic(), 0xF111, Arc::clone(&mem), move |s| {
+        harness::run(1, HtmConfig::deterministic(), 0xF111, Arc::clone(&mem), move |s| {
             let mut filled = 0;
             while filled < size {
                 let key = s.rng.below(domain);
@@ -116,7 +115,7 @@ fn run_tree_128(
         });
     }
     tree.rebalance_freelists(&mem);
-    harness::run_arc(threads, args.window, HtmConfig::haswell(), 42, Arc::clone(&mem), move |s| {
+    let (ends, _, makespan) = harness::run(threads, HtmConfig::haswell(), 42, mem, move |s| {
         for _ in 0..ops {
             let op = OpMix::MODERATE.draw(&mut s.rng);
             let key = s.rng.below(domain);
@@ -127,7 +126,8 @@ fn run_tree_128(
             });
         }
         s.now()
-    })
+    });
+    (ends, makespan)
 }
 
 /// Operations per thousand simulated cycles.
@@ -336,7 +336,7 @@ pub(super) fn ablation_grouped(d: &mut Driver<'_>) {
         let mem = b.freeze(threads);
         let hot2 = hot.clone();
         let (_, mem, makespan) =
-            harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+            harness::run(threads, HtmConfig::deterministic(), 3, mem, move |s| {
                 let target = hot2[s.tid() % hot2.len()];
                 for _ in 0..ops {
                     scheme.execute(s, |s| {
@@ -428,19 +428,18 @@ pub(super) fn ablation_finegrained(d: &mut Driver<'_>) {
             .collect();
         let mem = b.freeze(threads);
         let counters2 = counters.clone();
-        let (_, mem, makespan) =
-            harness::run(threads, args.window, HtmConfig::haswell(), 21, mem, move |s| {
-                for _ in 0..ops {
-                    let shard = s.rng.below(SHARDS as u64) as usize;
-                    let scheme = &schemes[shard % schemes.len()];
-                    let target = counters2[shard];
-                    scheme.execute(s, |s| {
-                        let v = s.load(target)?;
-                        s.work(25)?;
-                        s.store(target, v + 1)
-                    });
-                }
-            });
+        let (_, mem, makespan) = harness::run(threads, HtmConfig::haswell(), 21, mem, move |s| {
+            for _ in 0..ops {
+                let shard = s.rng.below(SHARDS as u64) as usize;
+                let scheme = &schemes[shard % schemes.len()];
+                let target = counters2[shard];
+                scheme.execute(s, |s| {
+                    let v = s.load(target)?;
+                    s.work(25)?;
+                    s.store(target, v + 1)
+                });
+            }
+        });
         let total: u64 = counters.iter().map(|&c| mem.read_direct(c)).sum();
         assert_eq!(total, threads as u64 * ops, "lost updates");
         ops_per_kcycle(ops, threads, makespan)

@@ -26,9 +26,8 @@ fn spec_for(
 ) -> TreeBenchSpec {
     let (plan, htm_faults) = profile.at_intensity(level, 0xC4A0_5EED);
     let mut spec = TreeBenchSpec::new(scheme, lock, threads, 64, OpMix::MODERATE);
-    // The spec's default window of 0 makes the run (including the fault
-    // schedule) a pure function of the seeds, which the determinism
-    // check relies on.
+    // The run (including the fault schedule) is a pure function of the
+    // seeds, which the determinism check relies on.
     spec.ops_per_thread = ops;
     spec.htm = HtmConfig::deterministic().with_faults(htm_faults);
     spec.scheme_cfg = SchemeConfig::hardened();
@@ -62,7 +61,7 @@ fn run_checked(spec: &TreeBenchSpec, what: &str) -> TreeBenchResult {
     r
 }
 
-/// Identical seeds must reproduce the identical run at window == 0.
+/// Identical seeds must reproduce the identical run.
 fn assert_deterministic(spec: &TreeBenchSpec, what: &str) {
     let a = run_tree_bench(spec);
     let b = run_tree_bench(spec);
@@ -117,7 +116,7 @@ fn assert_breaker_pays_off(threads: usize, ops: u64) -> (f64, f64, u64) {
 ///
 /// 1. **Liveness**: every operation completes, and no single operation
 ///    needs an unbounded number of attempts (starvation watchdog).
-/// 2. **Determinism**: with `window == 0`, rerunning the same seed yields
+/// 2. **Determinism**: rerunning the same seed yields
 ///    the identical makespan, counters and injected-fault statistics.
 /// 3. **Hardening pays off**: under a sustained abort storm, the
 ///    circuit-breaker-enabled configuration out-performs the paper

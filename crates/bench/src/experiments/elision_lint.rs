@@ -105,7 +105,7 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, Conflic
                 k += 1;
             }
             let keys = Arc::new(keys);
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, mem, move |s| {
+            let (results, _, _) = harness::run(threads, spec.htm, PROBE_SEED, mem, move |s| {
                 let mine = &keys[s.tid()];
                 // Prefill own keys (allocates from this thread's
                 // free-list pool, interleaving node indices across
@@ -131,7 +131,7 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, Conflic
             let (b, layout) = p.finish();
             check_layout(&layout, report);
             let mem = Arc::new(b.freeze(threads));
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, mem, move |s| {
+            let (results, _, _) = harness::run(threads, spec.htm, PROBE_SEED, mem, move |s| {
                 measured(s, PROBE_ITERS, |s, i| {
                     if i % 2 == 0 {
                         scheme.execute(s, |s| q.push(s, i as u64).map(|_| ()));
@@ -151,9 +151,8 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, Conflic
             list.init(&mem);
             let n = spec.prefill as u64;
             // Quiescent single-thread prefill, as the advisor does.
-            harness::run_arc(
+            harness::run(
                 1,
-                0,
                 elision_htm::HtmConfig::deterministic(),
                 PROBE_SEED,
                 Arc::clone(&mem),
@@ -166,7 +165,7 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, Conflic
                     }
                 },
             );
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, mem, move |s| {
+            let (results, _, _) = harness::run(threads, spec.htm, PROBE_SEED, mem, move |s| {
                 let mut rng = DetRng::new(PROBE_SEED + s.tid() as u64, 0x13);
                 measured(s, PROBE_ITERS, |s, _| {
                     let key = 2 * rng.below(n);

@@ -61,7 +61,6 @@ pub(super) fn fig2_lemming(d: &mut Driver<'_>) {
                 let mut spec =
                     TreeBenchSpec::new(SchemeKind::Hle, lock, args.threads, size, OpMix::MODERATE);
                 spec.ops_per_thread = ops;
-                spec.window = args.window;
                 spec.faults = fault_plan;
                 spec.htm = spec.htm.with_faults(htm_faults);
                 let hle = run_tree_bench_avg(&spec, args.seeds);
@@ -135,7 +134,6 @@ pub(super) fn fig3_dynamics(d: &mut Driver<'_>) {
             let mut spec =
                 TreeBenchSpec::new(SchemeKind::Hle, lock, args.threads, TREE_SIZE, OpMix::MODERATE);
             spec.ops_per_thread = ops;
-            spec.window = args.window;
             // Calibrate the slot width from an untimed first run.
             let calib = run_tree_bench(&spec);
             spec.slot_cycles = Some((calib.makespan / SLOTS).max(1));
@@ -212,7 +210,6 @@ pub(super) fn fig4_hle_speedup(d: &mut Driver<'_>) {
                         let mut spec =
                             TreeBenchSpec::new(SchemeKind::Hle, lock, args.threads, size, mix);
                         spec.ops_per_thread = ops;
-                        spec.window = args.window;
                         let hle = run_tree_bench_avg(&spec, args.seeds);
                         let mut std_spec = spec;
                         std_spec.scheme = SchemeKind::Standard;
@@ -285,7 +282,6 @@ pub(super) fn fig9_scaling(d: &mut Driver<'_>) {
         let mut base_spec =
             TreeBenchSpec::new(SchemeKind::NoLock, LockKind::Ttas, 1, TREE_SIZE, OpMix::MODERATE);
         base_spec.ops_per_thread = ops;
-        base_spec.window = args.window;
         run_tree_bench_avg(&base_spec, args.seeds)
     })];
     for lock in [LockKind::Ttas, LockKind::Mcs] {
@@ -298,7 +294,6 @@ pub(super) fn fig9_scaling(d: &mut Driver<'_>) {
                         let mut spec =
                             TreeBenchSpec::new(scheme, lock, t, TREE_SIZE, OpMix::MODERATE);
                         spec.ops_per_thread = ops;
-                        spec.window = args.window;
                         run_tree_bench_avg(&spec, args.seeds)
                     },
                 ));
@@ -372,7 +367,6 @@ pub(super) fn fig10_spectrum(d: &mut Driver<'_>) {
                             let mut spec =
                                 TreeBenchSpec::new(scheme, lock, args.threads, size, mix);
                             spec.ops_per_thread = ops;
-                            spec.window = args.window;
                             run_tree_bench_avg(&spec, args.seeds)
                         },
                     ));
@@ -459,7 +453,6 @@ pub(super) fn fig11_stamp(d: &mut Driver<'_>) {
                                 lock,
                                 args.threads,
                                 &p,
-                                args.window,
                                 HtmConfig::haswell(),
                             );
                             total += run.makespan;
@@ -544,7 +537,6 @@ pub(super) fn hashtable_bench(d: &mut Driver<'_>) {
                             size,
                             mix,
                             ops_per_thread: ops,
-                            window: args.window,
                             htm: HtmConfig::haswell().with_faults(htm_faults),
                             seed: 42,
                             scheme_cfg: SchemeConfig::paper(),
@@ -617,7 +609,6 @@ pub(super) fn diag_aborts(d: &mut Driver<'_>) {
                     let mut spec =
                         TreeBenchSpec::new(scheme, lock, args.threads, size, OpMix::MODERATE);
                     spec.ops_per_thread = ops;
-                    spec.window = args.window;
                     run_tree_bench(&spec)
                 },
             ));

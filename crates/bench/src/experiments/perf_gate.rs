@@ -124,7 +124,6 @@ pub(super) fn perf_gate(exp: &'static Experiment, argv: Vec<String>) {
                         let mut spec =
                             TreeBenchSpec::new(scheme, lock, args.threads, size, OpMix::MODERATE);
                         spec.ops_per_thread = ops;
-                        spec.window = args.window;
                         (scheme, lock, run_tree_bench_avg(&spec, args.seeds))
                     },
                 ));

@@ -31,12 +31,7 @@ pub(super) fn service_bench(d: &mut Driver<'_>) {
     let grid = service_grid(args.quick, args.full);
 
     println!("== Open-loop sharded service: tail latency under arriving traffic ==");
-    println!(
-        "{} cells (scheme x shards x load), {} seed(s), window {}\n",
-        grid.len(),
-        args.seeds,
-        args.window
-    );
+    println!("{} cells (scheme x shards x load), {} seed(s)\n", grid.len(), args.seeds);
 
     let (results, table, report) = service_sweep(d, &grid);
     d.table(&table, "service_bench");
@@ -50,7 +45,7 @@ pub(super) fn service_bench(d: &mut Driver<'_>) {
     );
 }
 
-/// Sweep `grid` at the driver's `--quick`, `--window` and `--seeds`, and
+/// Sweep `grid` at the driver's `--quick` and `--seeds`, and
 /// render the results as the service table and the `SERVICE` report.
 pub fn service_sweep(
     d: &mut Driver<'_>,
@@ -61,7 +56,7 @@ pub fn service_sweep(
         .iter()
         .map(|cell| {
             Cell::new(cell.key(), cell.workers(), move || {
-                (cell.clone(), run_service_avg(cell, args.quick, args.window, args.seeds))
+                (cell.clone(), run_service_avg(cell, args.quick, args.seeds))
             })
         })
         .collect();

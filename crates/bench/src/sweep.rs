@@ -2,11 +2,11 @@
 //!
 //! Every figure/ablation experiment sweeps a grid of scheme × lock × threads
 //! × size × seed cells, and every cell is an *independent* deterministic
-//! simulation: with lag window 0 its result is a pure function of its
-//! spec. That makes the harness embarrassingly parallel at the cell
-//! level, so a [`Sweep`] executes cells on a host thread pool
-//! (`--jobs N`) while guaranteeing the rendered tables, CSVs and metrics
-//! JSON stay **byte-identical** to the sequential run:
+//! simulation: its result is a pure function of its spec. That makes the
+//! harness embarrassingly parallel at the cell level, so a [`Sweep`]
+//! executes cells on a host thread pool (`--jobs N`) while guaranteeing
+//! the rendered tables, CSVs and metrics JSON stay **byte-identical** to
+//! the sequential run:
 //!
 //! 1. cells are submitted in canonical (sequential) order and results are
 //!    merged back by submission index, so every downstream consumer sees
@@ -15,9 +15,9 @@
 //!    threads via `elision_sim` and returns a value;
 //! 3. all printing/reporting happens *after* the sweep, sequentially.
 //!
-//! A window-0 cell runs one simulated thread at a time however many it
-//! spawns, so each cell loads the host like one thread and `--jobs` alone
-//! bounds host load.
+//! A cell runs one simulated thread at a time however many it spawns, so
+//! each cell loads the host like one thread and `--jobs` alone bounds
+//! host load.
 //!
 //! Host wall-clock per cell and per sweep is recorded in a [`TimingLog`]
 //! and written as `TIMING_<binary>.json` next to the metrics reports.
@@ -28,8 +28,10 @@
 
 use crate::cli::CliArgs;
 use crate::metrics::{Json, SCHEMA_VERSION};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -109,55 +111,81 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Propagates the first panic raised inside a cell (benchmark
-    /// assertions fail the whole sweep, as they did sequentially).
+    /// A panicking cell fails the whole sweep (benchmark assertions fail
+    /// it, as they did sequentially) with `sweep cell <key> panicked:
+    /// <message>`, at any `jobs`. Once a cell has panicked no new cell
+    /// starts; of the cells that panicked, the first in canonical order
+    /// is reported.
     pub fn run<T: Send>(&self, cells: Vec<Cell<'_, T>>) -> SweepOutcome<T> {
         let started = Instant::now();
         let n = cells.len();
         let jobs = self.jobs.min(n.max(1));
-        let mut merged: Vec<Option<(T, CellTiming)>> = if jobs <= 1 {
-            cells.into_iter().map(|c| Some(Self::execute(c))).collect()
+        let work: Vec<Mutex<Option<Cell<'_, T>>>> =
+            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        let out: Vec<Mutex<Option<CellResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n || failed.load(Ordering::Relaxed) {
+                break;
+            }
+            let cell = work[i]
+                .lock()
+                .expect("work slot poisoned")
+                .take()
+                .expect("each cell is taken exactly once");
+            let result = Self::execute(cell);
+            failed.fetch_or(result.is_err(), Ordering::Relaxed);
+            *out[i].lock().expect("result slot poisoned") = Some(result);
+        };
+        if jobs <= 1 {
+            worker();
         } else {
-            let work: Vec<Mutex<Option<Cell<'_, T>>>> =
-                cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-            let out: Vec<Mutex<Option<(T, CellTiming)>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let cell = work[i]
-                            .lock()
-                            .expect("work slot poisoned")
-                            .take()
-                            .expect("each cell is taken exactly once");
-                        let result = Self::execute(cell);
-                        *out[i].lock().expect("result slot poisoned") = Some(result);
-                    });
+                    scope.spawn(worker);
                 }
             });
-            out.into_iter().map(|m| m.into_inner().expect("result slot poisoned")).collect()
-        };
+        }
         let mut results = Vec::with_capacity(n);
         let mut timings = Vec::with_capacity(n);
-        for slot in merged.drain(..) {
-            let (r, t) = slot.expect("every cell ran");
-            results.push(r);
-            timings.push(t);
+        for slot in out {
+            match slot.into_inner().expect("result slot poisoned") {
+                Some(Ok((r, t))) => {
+                    results.push(r);
+                    timings.push(t);
+                }
+                Some(Err(msg)) => panic!("{msg}"),
+                None => assert!(failed.load(Ordering::Relaxed), "every cell ran"),
+            }
         }
         SweepOutcome { results, timings, wall_ms: started.elapsed().as_millis() as u64 }
     }
 
-    fn execute<T>(cell: Cell<'_, T>) -> (T, CellTiming) {
+    /// Run one cell, catching a panic as `sweep cell <key> panicked:
+    /// <message>` so that the sweep can name the cell at any `jobs`.
+    fn execute<T>(cell: Cell<'_, T>) -> CellResult<T> {
         let t0 = Instant::now();
-        let result = (cell.run)();
+        let result = panic::catch_unwind(AssertUnwindSafe(cell.run)).map_err(|payload| {
+            format!("sweep cell {} panicked: {}", cell.key, message(&*payload))
+        })?;
         let wall_ms = t0.elapsed().as_millis() as u64;
-        (result, CellTiming { key: cell.key, sim_threads: cell.sim_threads, wall_ms })
+        Ok((result, CellTiming { key: cell.key, sim_threads: cell.sim_threads, wall_ms }))
     }
+}
+
+/// One executed cell: its result and timing, or the message naming the
+/// cell and its panic.
+type CellResult<T> = Result<(T, CellTiming), String>;
+
+/// The text of a panic payload.
+fn message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// Accumulates wall-clock evidence for one binary (possibly across
@@ -277,14 +305,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    #[should_panic(expected = "sweep cell bad panicked: cell exploded")]
     fn cell_panic_propagates() {
-        let cells: Vec<Cell<'_, ()>> = vec![
-            Cell::new("ok", 1, || ()),
-            Cell::new("bad", 1, || panic!("cell exploded")),
-            Cell::new("ok2", 1, || ()),
-        ];
-        Sweep::new(3).run(cells);
+        let cells = || -> Vec<Cell<'_, ()>> {
+            vec![
+                Cell::new("ok", 1, || ()),
+                Cell::new("bad", 1, || panic!("cell exploded")),
+                Cell::new("ok2", 1, || ()),
+            ]
+        };
+        // Sequentially the same message names the cell.
+        let seq = panic::catch_unwind(|| Sweep::new(1).run(cells())).expect_err("cell panicked");
+        assert_eq!(message(&*seq), "sweep cell bad panicked: cell exploded");
+        Sweep::new(3).run(cells());
     }
 
     #[test]

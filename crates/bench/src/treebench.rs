@@ -30,8 +30,6 @@ pub struct TreeBenchSpec {
     pub mix: OpMix,
     /// Operations per thread in the measured phase.
     pub ops_per_thread: u64,
-    /// Scheduler lag window.
-    pub window: u64,
     /// HTM configuration.
     pub htm: HtmConfig,
     /// RNG seed.
@@ -60,7 +58,6 @@ impl TreeBenchSpec {
             size,
             mix,
             ops_per_thread: 1000,
-            window: 0,
             htm: HtmConfig::haswell(),
             seed: 42,
             slot_cycles: None,
@@ -112,7 +109,7 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
         let tree = tree.clone();
         let size = spec.size;
         let fill_cfg = HtmConfig::deterministic();
-        harness::run_arc(1, 0, fill_cfg, spec.seed ^ 0xF111, Arc::clone(&mem), move |s| {
+        harness::run(1, fill_cfg, spec.seed ^ 0xF111, Arc::clone(&mem), move |s| {
             let mut filled = 0usize;
             while filled < size {
                 let key = s.rng.below(domain);
@@ -137,7 +134,6 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
         let slot_sink = Arc::clone(&slot_sink);
         harness::run_arc_faulted(
             spec.threads,
-            spec.window,
             spec.htm,
             spec.seed,
             spec.faults,
@@ -298,8 +294,6 @@ pub struct HashBenchSpec {
     pub mix: OpMix,
     /// Operations per thread.
     pub ops_per_thread: u64,
-    /// Scheduler lag window.
-    pub window: u64,
     /// HTM configuration.
     pub htm: HtmConfig,
     /// RNG seed.
@@ -323,9 +317,8 @@ pub fn run_hash_bench(spec: &HashBenchSpec) -> TreeBenchResult {
     {
         let table = table.clone();
         let size = spec.size;
-        harness::run_arc(
+        harness::run(
             1,
-            0,
             HtmConfig::deterministic(),
             spec.seed ^ 0xF111,
             Arc::clone(&mem),
@@ -349,7 +342,6 @@ pub fn run_hash_bench(spec: &HashBenchSpec) -> TreeBenchResult {
         let mix = spec.mix;
         harness::run_arc_faulted(
             spec.threads,
-            spec.window,
             spec.htm,
             spec.seed,
             spec.faults,
@@ -515,7 +507,6 @@ mod tests {
             size: 64,
             mix: OpMix::MODERATE,
             ops_per_thread: 50,
-            window: 0,
             htm: HtmConfig::deterministic(),
             seed: 1,
             scheme_cfg: SchemeConfig::paper(),

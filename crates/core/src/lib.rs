@@ -37,7 +37,7 @@
 //!     threads,
 //! );
 //! let mem = b.freeze(threads);
-//! let (_, mem, _) = harness::run(threads, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+//! let (_, mem, _) = harness::run(threads, HtmConfig::deterministic(), 1, mem, move |s| {
 //!     for _ in 0..100 {
 //!         scheme.execute(s, |s| {
 //!             let v = s.load(counter)?;
@@ -66,25 +66,26 @@ pub use watchdog::{LatencyHistogram, Watchdog};
 mod tests {
     use super::*;
     use elision_htm::{harness, HtmConfig, MemoryBuilder, VarId};
-    use elision_sim::OpCounters;
+    use elision_sim::{FaultPlan, OpCounters};
     use std::sync::Arc;
 
-    /// Run `threads` threads, each performing `ops` non-atomic increments
-    /// of a shared counter under the scheme; return (final counter,
-    /// summed counters).
+    /// Run `threads` threads under the fault plan `faults`, each
+    /// performing `ops` non-atomic increments of a shared counter under
+    /// the scheme; return (final counter, summed counters).
     fn counter_stress(
         scheme_kind: SchemeKind,
         lock: LockKind,
         threads: usize,
         ops: u64,
-        window: u64,
+        faults: FaultPlan,
     ) -> (u64, OpCounters) {
         let mut b = MemoryBuilder::new();
         let counter = b.alloc_isolated(0);
         let scheme = make_scheme(scheme_kind, lock, SchemeConfig::paper(), &mut b, threads);
-        let mem = b.freeze(threads);
-        let (results, mem, _) =
-            harness::run(threads, window, HtmConfig::deterministic(), 3, mem, move |s| {
+        let mem = Arc::new(b.freeze(threads));
+        let cfg = HtmConfig::deterministic();
+        let (results, ..) =
+            harness::run_arc_faulted(threads, cfg, 3, faults, Arc::clone(&mem), move |s| {
                 for _ in 0..ops {
                     scheme.execute(s, |s| {
                         let v = s.load(counter)?;
@@ -100,7 +101,7 @@ mod tests {
     #[test]
     fn every_scheme_preserves_atomicity_on_ttas() {
         for kind in SchemeKind::ALL {
-            let (count, c) = counter_stress(kind, LockKind::Ttas, 4, 50, 0);
+            let (count, c) = counter_stress(kind, LockKind::Ttas, 4, 50, FaultPlan::none());
             assert_eq!(count, 200, "{kind} lost updates");
             assert_eq!(c.completed(), 200, "{kind} miscounted completions");
         }
@@ -109,7 +110,7 @@ mod tests {
     #[test]
     fn every_scheme_preserves_atomicity_on_mcs() {
         for kind in SchemeKind::ALL {
-            let (count, c) = counter_stress(kind, LockKind::Mcs, 4, 50, 0);
+            let (count, c) = counter_stress(kind, LockKind::Mcs, 4, 50, FaultPlan::none());
             assert_eq!(count, 200, "{kind} lost updates");
             assert_eq!(c.completed(), 200, "{kind} miscounted completions");
         }
@@ -119,23 +120,26 @@ mod tests {
     fn every_scheme_preserves_atomicity_on_adapted_fair_locks() {
         for lock in [LockKind::Ticket, LockKind::Clh] {
             for kind in [SchemeKind::Hle, SchemeKind::HleScm, SchemeKind::OptSlr] {
-                let (count, _) = counter_stress(kind, lock, 3, 40, 0);
+                let (count, _) = counter_stress(kind, lock, 3, 40, FaultPlan::none());
                 assert_eq!(count, 120, "{kind} over {lock} lost updates");
             }
         }
     }
 
+    /// Seeded preemption and jitter make the threads' clocks lag one
+    /// another by up to a preemption pause.
     #[test]
     fn schemes_survive_bounded_lag_windows() {
+        let faults = FaultPlan::none().with_preempt(250, 1_200).with_jitter(300).with_seed(48);
         for kind in SchemeKind::ALL {
-            let (count, _) = counter_stress(kind, LockKind::Ttas, 6, 40, 48);
-            assert_eq!(count, 240, "{kind} lost updates under lag window");
+            let (count, _) = counter_stress(kind, LockKind::Ttas, 6, 40, faults);
+            assert_eq!(count, 240, "{kind} lost updates under preemption and jitter");
         }
     }
 
     #[test]
     fn standard_scheme_is_fully_nonspeculative() {
-        let (_, c) = counter_stress(SchemeKind::Standard, LockKind::Mcs, 3, 30, 0);
+        let (_, c) = counter_stress(SchemeKind::Standard, LockKind::Mcs, 3, 30, FaultPlan::none());
         assert_eq!(c.nonspeculative, 90);
         assert_eq!(c.speculative, 0);
         assert_eq!(c.aborted, 0);
@@ -151,7 +155,7 @@ mod tests {
         let scheme = make_scheme(scheme_kind, lock, SchemeConfig::paper(), &mut b, threads);
         let mem = b.freeze(threads);
         let (results, mem, _) =
-            harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+            harness::run(threads, HtmConfig::deterministic(), 3, mem, move |s| {
                 let my = slots[s.tid()];
                 for _ in 0..60 {
                     scheme.execute(s, |s| {
@@ -208,7 +212,7 @@ mod tests {
                 .expect("OptSlr needs no aux lock"),
         );
         let mem = b.freeze(2);
-        let (results, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+        let (results, mem, _) = harness::run(2, HtmConfig::deterministic(), 3, mem, move |s| {
             if s.tid() == 0 {
                 let out = standard.execute(s, |s| {
                     let v = s.load(a)?;
@@ -248,7 +252,7 @@ mod tests {
             let scheme = make_scheme(kind, LockKind::Mcs, SchemeConfig::paper(), &mut b, threads);
             let mem = b.freeze(threads);
             let (results, ..) =
-                harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+                harness::run(threads, HtmConfig::deterministic(), 3, mem, move |s| {
                     let my = slots[s.tid()];
                     for i in 0..ops {
                         scheme.execute(s, |s| {
@@ -285,7 +289,7 @@ mod tests {
         let cfg = SchemeConfig { scm_true_nesting: true, ..SchemeConfig::paper() };
         let scheme = make_scheme(SchemeKind::HleScm, LockKind::Mcs, cfg, &mut b, threads);
         let mem = b.freeze(threads);
-        let (_, mem, _) = harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+        let (_, mem, _) = harness::run(threads, HtmConfig::deterministic(), 3, mem, move |s| {
             for _ in 0..50 {
                 scheme.execute(s, |s| {
                     let v = s.load(counter)?;
@@ -310,7 +314,7 @@ mod tests {
             threads,
         );
         let mem = b.freeze(threads);
-        let (_, mem, _) = harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+        let (_, mem, _) = harness::run(threads, HtmConfig::deterministic(), 3, mem, move |s| {
             for _ in 0..50 {
                 scheme.execute(s, |s| {
                     let v = s.load(counter)?;
@@ -328,7 +332,7 @@ mod tests {
         let scheme =
             make_scheme(SchemeKind::Standard, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let out = scheme.execute(s, |s| s.store(x, 1));
             assert_eq!(out.attempts, 1);
             assert!(out.nonspeculative);
@@ -353,7 +357,7 @@ mod tests {
             let scheme = make_scheme(kind, LockKind::Mcs, SchemeConfig::paper(), &mut b, threads);
             let mem = b.freeze(threads);
             let cfg = HtmConfig::deterministic().with_spurious(0.2, 0.001);
-            let (_, mem, _) = harness::run(threads, 0, cfg, 9, mem, move |s| {
+            let (_, mem, _) = harness::run(threads, cfg, 9, mem, move |s| {
                 for _ in 0..ops {
                     scheme.execute(s, |s| {
                         let v = s.load(counter)?;
@@ -377,7 +381,7 @@ mod tests {
         let scheme = make_grouped_scm(LockKind::Mcs, 4, SchemeConfig::paper(), &mut b, threads);
         let mem = b.freeze(threads);
         let counters2 = counters.clone();
-        let (_, mem, _) = harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+        let (_, mem, _) = harness::run(threads, HtmConfig::deterministic(), 3, mem, move |s| {
             for i in 0..60u64 {
                 let target = counters2[(s.tid() as u64 + i) as usize % counters2.len()];
                 scheme.execute(s, |s| {
@@ -416,7 +420,7 @@ mod tests {
             let mem = b.freeze(threads);
             let hot2 = hot.clone();
             let (_, mem, makespan) =
-                harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |s| {
+                harness::run(threads, HtmConfig::deterministic(), 3, mem, move |s| {
                     // Threads pair up on a hot word: 0,4 -> word 0; ...
                     let target = hot2[s.tid() % hot2.len()];
                     for _ in 0..ops {
@@ -502,7 +506,7 @@ mod tests {
         let mem = b.freeze(threads);
         let cfg = HtmConfig::deterministic().with_faults(faults);
         let scheme2 = Arc::clone(&scheme);
-        let (results, mem, _) = harness::run(threads, 0, cfg, 7, mem, move |s| {
+        let (results, mem, _) = harness::run(threads, cfg, 7, mem, move |s| {
             for _ in 0..ops {
                 scheme2.execute(s, |s| {
                     let v = s.load(counter)?;
@@ -603,7 +607,7 @@ mod tests {
             make_scheme(SchemeKind::OptSlr, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
         let mem = b.freeze(1);
         let cfg = HtmConfig::deterministic().with_capacity(64, 8);
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             let out = scheme.execute(s, |s| {
                 for k in 0..32 {
                     s.store(VarId::from_index(vars.index() + k), 1)?;

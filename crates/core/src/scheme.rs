@@ -259,12 +259,6 @@ pub struct SchemeConfig {
     pub capacity_skips_retries: bool,
     /// Speculation circuit breaker, if enabled (see [`BreakerConfig`]).
     pub breaker: Option<BreakerConfig>,
-    /// Record `subscribe` protocol markers for the sanitizer's lint pass
-    /// whenever a speculative attempt subscribes to the main lock (elided
-    /// acquisition or SLR/SCM subscription read). Off in the paper
-    /// configuration: markers cost nothing in simulated time but bloat
-    /// trace rings.
-    pub sanitize: bool,
     /// How SLR-style schemes subscribe to the main lock at commit time
     /// (see [`LazyMode`]). Eager schemes ignore this knob.
     pub lazy_mode: LazyMode,
@@ -282,7 +276,6 @@ impl SchemeConfig {
             backoff: None,
             capacity_skips_retries: false,
             breaker: None,
-            sanitize: false,
             lazy_mode: LazyMode::ReadSet,
         }
     }
@@ -293,8 +286,8 @@ impl SchemeConfig {
         self
     }
 
-    /// The model-checking configuration: the paper's settings with the
-    /// sanitizer log enabled. Deliberately keeps `breaker: None` — the
+    /// The model-checking configuration: the paper's settings.
+    /// Deliberately keeps `breaker: None` — the
     /// circuit breaker's state lives in host atomics invisible to the
     /// explorer's per-step footprints, so enabling it would make the
     /// partial-order reduction unsound (steps could interact through
@@ -302,7 +295,7 @@ impl SchemeConfig {
     /// drives [`super::SchemeKind::ALL`], which excludes `GroupedScm` for
     /// the same reason (its aux-lock round-robin cursor is a host atomic).
     pub fn explore() -> Self {
-        SchemeConfig { sanitize: true, ..Self::paper() }
+        Self::paper()
     }
 
     /// Check every knob against its domain: the breaker's trip threshold
@@ -387,10 +380,9 @@ pub struct Scheme {
 /// Cross-thread speculation circuit-breaker state.
 ///
 /// All counters are plain atomics shared by every strand executing under
-/// the scheme. Under a zero-lag window the simulation serializes all
-/// updates, so breaker decisions are deterministic there; under relaxed
-/// windows the window boundaries are approximate, which is fine — the
-/// breaker is a load-shedding heuristic, not a correctness mechanism.
+/// the scheme. The simulation runs one thread at a time, so it serializes
+/// all updates and breaker decisions are deterministic. The breaker is a
+/// load-shedding heuristic, not a correctness mechanism.
 #[derive(Debug, Default)]
 struct BreakerState {
     /// Speculative attempts observed in the current window.
@@ -640,12 +632,9 @@ impl Scheme {
         body: &mut impl FnMut(&mut Strand) -> TxResult<R>,
     ) -> Result<R, elision_htm::AbortStatus> {
         let main = &self.main;
-        let sanitize = self.cfg.sanitize;
         s.attempt(|s| {
             main.elided_acquire(s)?;
-            if sanitize {
-                s.note("subscribe", u64::from(main.lock_word().index()));
-            }
+            s.note("subscribe", u64::from(main.lock_word().index()));
             let v = body(s)?;
             main.elided_release(s)?;
             Ok(v)
@@ -764,9 +753,7 @@ impl Scheme {
                 }
             },
         }
-        if self.cfg.sanitize {
-            s.note("subscribe", u64::from(main.lock_word().index()));
-        }
+        s.note("subscribe", u64::from(main.lock_word().index()));
         Ok(())
     }
 
@@ -850,16 +837,13 @@ impl Scheme {
             attempts += 1;
             let main = &self.main;
             let true_nesting = self.cfg.scm_true_nesting;
-            let sanitize = self.cfg.sanitize;
             let r = s.attempt(|s| match subscription {
                 Subscription::Eager => {
                     if true_nesting {
                         // The design Figure 7 describes: nest the HLE
                         // acquisition inside the RTM transaction.
                         main.elided_acquire(s)?;
-                        if sanitize {
-                            s.note("subscribe", u64::from(main.lock_word().index()));
-                        }
+                        s.note("subscribe", u64::from(main.lock_word().index()));
                         let v = body(s)?;
                         main.elided_release(s)?;
                         Ok(v)
@@ -869,9 +853,7 @@ impl Scheme {
                         if main.is_locked(s)? {
                             return Err(s.xabort(codes::LOCK_BUSY, true));
                         }
-                        if sanitize {
-                            s.note("subscribe", u64::from(main.lock_word().index()));
-                        }
+                        s.note("subscribe", u64::from(main.lock_word().index()));
                         body(s)
                     }
                 }

@@ -15,8 +15,8 @@
 //!   critical section is never observed broken by a *committed*
 //!   execution, even though lazy subscription sacrifices opacity for
 //!   in-flight (doomed, sandboxed) transactions.
-//! * **Reproducibility**: at `window == 0` the whole run — including the
-//!   injected fault schedule — is a pure function of the seeds.
+//! * **Reproducibility**: the whole run — including the injected fault
+//!   schedule — is a pure function of the seeds.
 
 use elision_core::{make_scheme, LockKind, SchemeConfig, SchemeKind, Watchdog};
 use elision_htm::{harness, HtmConfig, HtmFaults, MemoryBuilder};
@@ -102,7 +102,7 @@ fn stress(
     let mem = Arc::new(b.freeze(threads));
     let htm = HtmConfig::deterministic().with_faults(faults);
     let (results, makespan, _) =
-        harness::run_arc_faulted(threads, 0, htm, 5, plan, Arc::clone(&mem), move |s| {
+        harness::run_arc_faulted(threads, htm, 5, plan, Arc::clone(&mem), move |s| {
             let mut w = Watchdog::new(0);
             for _ in 0..ops {
                 let started = s.now();
@@ -175,7 +175,7 @@ proptest! {
         let mem = Arc::new(b.freeze(threads));
         let htm = HtmConfig::deterministic().with_faults(faults);
         let (results, _, _) =
-            harness::run_arc_faulted(threads, 0, htm, 11, plan, Arc::clone(&mem), move |s| {
+            harness::run_arc_faulted(threads, htm, 11, plan, Arc::clone(&mem), move |s| {
                 let mut observed = Vec::new();
                 for _ in 0..ops {
                     let out = scheme.execute(s, |s| {
@@ -204,8 +204,8 @@ proptest! {
         prop_assert_eq!(fy, 2 * fx);
     }
 
-    /// At window 0 the full run — counters, final state, makespan — is a
-    /// pure function of the seeds, whatever faults are injected.
+    /// The full run — counters, final state, makespan — is a pure
+    /// function of the seeds, whatever faults are injected.
     #[test]
     fn faulted_runs_reproduce_exactly(
         kind in scheme_kind(),

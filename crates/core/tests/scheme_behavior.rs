@@ -19,7 +19,7 @@ fn speculative_success_costs_one_attempt() {
         let x = b.alloc_isolated(0);
         let scheme = make_scheme(kind, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let out = scheme.execute(s, |s| s.store(x, 1));
             assert_eq!(out.attempts, 1, "{kind}");
             assert!(!out.nonspeculative, "{kind}");
@@ -35,7 +35,7 @@ fn nolock_records_no_counters() {
     let x = b.alloc_isolated(0);
     let scheme = make_scheme(SchemeKind::NoLock, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
     let mem = b.freeze(1);
-    harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
         let out = scheme.execute(s, |s| s.store(x, 5));
         assert!(!out.nonspeculative);
         assert_eq!(s.counters.completed(), 0);
@@ -58,7 +58,7 @@ fn retry_budget_bounds_speculative_attempts() {
         let scheme = make_scheme(kind, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
         let mem = b.freeze(1);
         let cfg = HtmConfig::deterministic().with_spurious(0.0, 1.0);
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             let out = scheme.execute(s, |s| s.store(x, 1));
             assert!(out.nonspeculative, "{kind}");
             assert_eq!(out.attempts, expected_attempts, "{kind}");
@@ -79,7 +79,7 @@ fn scm_budget_counts_only_aux_holder_retries() {
     let scheme = make_scheme(SchemeKind::HleScm, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
     let mem = b.freeze(1);
     let cfg = HtmConfig::deterministic().with_spurious(0.0, 1.0);
-    harness::run(1, 0, cfg, 1, mem, move |s| {
+    harness::run(1, cfg, 1, mem, move |s| {
         let out = scheme.execute(s, |s| s.store(x, 1));
         assert!(out.nonspeculative);
         assert_eq!(out.attempts, 12, "1 + 10 holder retries + locked run");
@@ -98,7 +98,7 @@ fn slr_status_tuning_skips_hopeless_retries() {
         let scheme = make_scheme(SchemeKind::OptSlr, LockKind::Ttas, cfg, &mut b, 1);
         let mem = b.freeze(1);
         let htm = HtmConfig::deterministic().with_capacity(64, 4);
-        let (mut out, ..) = harness::run(1, 0, htm, 1, mem, move |s| {
+        let (mut out, ..) = harness::run(1, htm, 1, mem, move |s| {
             let o = scheme.execute(s, |s| {
                 for k in 0..8 {
                     s.store(VarId::from_index(vars.index() + k), 1)?;
@@ -133,7 +133,7 @@ fn scm_releases_aux_lock_on_both_paths() {
         );
         let mem = b.freeze(1);
         let cfg = HtmConfig::deterministic().with_spurious(spurious, 0.0);
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             // Force the serializing path on the storm config by having the
             // first attempt abort.
             scheme.execute(s, |s| s.store(x, 1));
@@ -151,7 +151,7 @@ fn grouped_scm_state_is_consistent_after_storms() {
     let scheme = make_grouped_scm(LockKind::Mcs, 8, SchemeConfig::paper(), &mut b, threads);
     let mem = b.freeze(threads);
     let cfg = HtmConfig::deterministic().with_spurious(0.4, 0.002);
-    let (_, mem, _) = harness::run(threads, 0, cfg, 5, mem, move |s| {
+    let (_, mem, _) = harness::run(threads, cfg, 5, mem, move |s| {
         for _ in 0..40 {
             scheme.execute(s, |s| {
                 let v = s.load(x)?;
@@ -174,7 +174,7 @@ fn grouped_scm_spreads_lineless_aborts_across_aux_locks() {
     let probe = Arc::clone(&scheme);
     let mem = b.freeze(1);
     let htm = HtmConfig::deterministic().with_capacity(64, 4);
-    harness::run(1, 0, htm, 1, mem, move |s| {
+    harness::run(1, htm, 1, mem, move |s| {
         for _ in 0..8 {
             scheme.execute(s, |s| {
                 for k in 0..8 {
@@ -214,7 +214,7 @@ fn hle_retries_over_fair_lock_waits_for_drain() {
     let scheme =
         make_scheme(SchemeKind::HleRetries, LockKind::Mcs, SchemeConfig::paper(), &mut b, threads);
     let mem = b.freeze(threads);
-    let (_, mem, _) = harness::run(threads, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+    let (_, mem, _) = harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
         for _ in 0..50 {
             scheme.execute(s, |s| {
                 let v = s.load(x)?;

@@ -101,8 +101,7 @@ impl HtmConfig {
         }
     }
 
-    /// A configuration with no spurious aborts; combined with a
-    /// zero-window scheduler this makes runs fully deterministic.
+    /// The Haswell configuration without spurious aborts.
     pub fn deterministic() -> Self {
         HtmConfig { spurious_begin: 0.0, spurious_access: 0.0, ..Self::haswell() }
     }

@@ -20,8 +20,8 @@
 //! the strand's deterministic HTM RNG stream and are only taken while the
 //! corresponding fault is configured **and** its window is active. Baseline
 //! runs (no faults) therefore draw the exact same RNG sequence as before
-//! this module existed, and a faulted run with `window == 0` is exactly
-//! reproducible from its seeds.
+//! this module existed, and a faulted run is exactly reproducible from
+//! its seeds.
 
 /// A time-windowed burst of spurious aborts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -35,7 +35,7 @@
 //! let mut b = MemoryBuilder::new();
 //! let counter = b.alloc(0);
 //! let mem = b.freeze(2);
-//! let (_, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 42, mem, move |s| {
+//! let (_, mem, _) = harness::run(2, HtmConfig::deterministic(), 42, mem, move |s| {
 //!     for _ in 0..100 {
 //!         loop {
 //!             let done = s.attempt(|s| {
@@ -80,30 +80,37 @@ pub mod harness {
     use elision_sim::{FaultPlan, FaultStats, ScheduleControl, SimBuilder};
     use std::sync::Arc;
 
-    /// Run `body` on `threads` simulated strands sharing `mem`.
+    /// Run `body` on `threads` simulated strands sharing `mem`: a fresh
+    /// [`Memory`] or an already shared one, so that a single-threaded
+    /// setup phase (e.g. pre-filling a tree) can run before the measured
+    /// multi-threaded phase on the same memory.
     ///
     /// Returns the per-thread results, the (now quiescent) memory for
     /// post-run assertions, and the simulated makespan in cycles.
     pub fn run<R, F>(
         threads: usize,
-        window: u64,
         cfg: HtmConfig,
         seed: u64,
-        mem: Memory,
+        mem: impl Into<Arc<Memory>>,
         body: F,
     ) -> (Vec<R>, Arc<Memory>, u64)
     where
         R: Send + 'static,
         F: Fn(&mut Strand) -> R + Clone + Send + Sync + 'static,
     {
-        let mem = Arc::new(mem);
-        let (results, makespan) = run_arc(threads, window, cfg, seed, Arc::clone(&mem), body);
+        let mem = mem.into();
+        let (results, makespan, _) =
+            run_arc_faulted(threads, cfg, seed, FaultPlan::none(), Arc::clone(&mem), body);
         (results, mem, makespan)
     }
 
-    /// Like [`run`], but over an already shared memory — used to run a
-    /// separate single-threaded setup phase (e.g. pre-filling a tree)
-    /// before the measured multi-threaded phase on the same memory.
+    /// [`run`] over a shared memory, under the signature of the removed
+    /// bounded-lag mode: kept only so that existing `run_arc(n, 0, ...)`
+    /// callers compile; a later benchmark change deletes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is not 0.
     pub fn run_arc<R, F>(
         threads: usize,
         window: u64,
@@ -116,17 +123,16 @@ pub mod harness {
         R: Send + 'static,
         F: Fn(&mut Strand) -> R + Clone + Send + Sync + 'static,
     {
-        let (results, makespan, _) =
-            run_arc_faulted(threads, window, cfg, seed, FaultPlan::none(), mem, body);
+        assert_eq!(window, 0, "the bounded-lag scheduling mode was removed: window must be 0");
+        let (results, _, makespan) = run(threads, cfg, seed, mem, body);
         (results, makespan)
     }
 
-    /// Like [`run_arc`], but with a scheduler-level [`FaultPlan`] attached
+    /// Like [`run`], but with a scheduler-level [`FaultPlan`] attached
     /// (simulated preemption and clock jitter). Also returns the
     /// per-thread injected-fault statistics (empty for an inactive plan).
     pub fn run_arc_faulted<R, F>(
         threads: usize,
-        window: u64,
         cfg: HtmConfig,
         seed: u64,
         plan: FaultPlan,
@@ -140,16 +146,16 @@ pub mod harness {
         if let Err(e) = cfg.validate() {
             panic!("invalid HtmConfig: {e}");
         }
-        let out = SimBuilder::new(threads).window(window).faults(plan).run(move |ctx| {
+        let out = SimBuilder::new(threads).faults(plan).run(move |ctx| {
             let mut strand = Strand::new(Arc::clone(&mem), ctx.handle, cfg, seed);
             body(&mut strand)
         });
         (out.results, out.makespan, out.fault_stats)
     }
 
-    /// Like [`run_arc`], but serialized under a model-checker
+    /// Like [`run`], but serialized under a model-checker
     /// [`ScheduleControl`]: every costed event becomes a decision point
-    /// replayed from the control's schedule (always window 0, no faults).
+    /// replayed from the control's schedule (no faults).
     /// Read the recorded steps back from the control after the run.
     pub fn run_arc_controlled<R, F>(
         threads: usize,
@@ -178,11 +184,24 @@ pub mod harness {
 mod tests {
     use super::*;
     use crate::abort::codes;
+    use elision_sim::FaultPlan;
+    use std::sync::Arc;
 
     fn one_var_mem(threads: usize, init: u64) -> (Memory, VarId) {
         let mut b = MemoryBuilder::new();
         let v = b.alloc_isolated(init);
         (b.freeze(threads), v)
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be 0")]
+    fn run_arc_rejects_a_lag_window() {
+        let (mem, x) = one_var_mem(1, 0);
+        let mem = Arc::new(mem);
+        let body = move |s: &mut Strand| s.fetch_add(x, 1).unwrap();
+        harness::run_arc(1, 0, HtmConfig::deterministic(), 1, Arc::clone(&mem), body);
+        assert_eq!(mem.read_direct(x), 1);
+        harness::run_arc(1, 16, HtmConfig::deterministic(), 1, mem, body);
     }
 
     #[test]
@@ -192,7 +211,7 @@ mod tests {
         // 1500 permille storm: would silently mean "always abort".
         let cfg =
             HtmConfig::deterministic().with_faults(HtmFaults::none().with_storm(100, 10, 1500));
-        harness::run(1, 0, cfg, 1, mem, |_| ());
+        harness::run(1, cfg, 1, mem, |_| ());
     }
 
     #[test]
@@ -200,7 +219,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let x = b.alloc(10);
         let mem = b.freeze(1);
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             s.begin();
             s.store(x, 99).unwrap();
             // Speculative value visible to self...
@@ -218,7 +237,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let x = b.alloc(10);
         let mem = b.freeze(1);
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             s.begin();
             s.store(x, 99).unwrap();
             let _ = s.xabort(7, false);
@@ -232,7 +251,7 @@ mod tests {
     #[test]
     fn nontransactional_write_dooms_reader() {
         let (mem, x) = one_var_mem(2, 0);
-        let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 s.begin();
                 s.load(x).unwrap();
@@ -256,7 +275,7 @@ mod tests {
     #[test]
     fn nontransactional_read_dooms_speculative_writer() {
         let (mem, x) = one_var_mem(2, 0);
-        let (results, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 s.begin();
                 s.store(x, 42).unwrap();
@@ -280,7 +299,7 @@ mod tests {
     #[test]
     fn transactional_read_dooms_speculative_writer() {
         let (mem, x) = one_var_mem(2, 0);
-        let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 s.begin();
                 s.store(x, 42).unwrap();
@@ -305,7 +324,7 @@ mod tests {
     #[test]
     fn commit_dooms_concurrent_reader_of_published_line() {
         let (mem, x) = one_var_mem(2, 0);
-        let (results, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 s.begin();
                 let v = s.load(x).unwrap();
@@ -331,7 +350,7 @@ mod tests {
     #[test]
     fn hle_elision_restores_and_commits() {
         let (mem, lock) = one_var_mem(1, 0);
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             s.begin();
             let old = s.elide_rmw(lock, |_| 1).unwrap();
             assert_eq!(old, 0);
@@ -350,7 +369,7 @@ mod tests {
     #[test]
     fn hle_commit_fails_without_restore() {
         let (mem, lock) = one_var_mem(1, 0);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             s.begin();
             s.elide_rmw(lock, |_| 1).unwrap();
             let err = s.commit().unwrap_err();
@@ -366,7 +385,7 @@ mod tests {
         let data = b.alloc_array(16, 0);
         b.pad_to_line();
         let mem = b.freeze(2);
-        let (results, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             let tid = s.tid() as u32;
             // Each thread writes to its own line.
             let my = VarId::from_index(data.index() + tid * 8);
@@ -395,7 +414,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = b.alloc_isolated(0);
         let mem = b.freeze(3);
-        let (results, ..) = harness::run(3, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, ..) = harness::run(3, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() < 2 {
                 s.begin();
                 s.elide_rmw(lock, |_| 1).unwrap();
@@ -423,7 +442,7 @@ mod tests {
         let vars = b.alloc_array(8, 0);
         let mem = b.freeze(1);
         let cfg = HtmConfig::deterministic().with_capacity(64, 4);
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             for k in 0..4 {
                 s.store(VarId::from_index(vars.index() + k), 1).unwrap();
@@ -441,7 +460,7 @@ mod tests {
         let vars = b.alloc_array(8, 0);
         let mem = b.freeze(1);
         let cfg = HtmConfig::deterministic().with_capacity(3, 64);
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             for k in 0..3 {
                 s.load(VarId::from_index(vars.index() + k)).unwrap();
@@ -455,7 +474,7 @@ mod tests {
     fn spurious_aborts_fire_with_probability_one() {
         let (mem, x) = one_var_mem(1, 0);
         let cfg = HtmConfig::deterministic().with_spurious(1.0, 0.0);
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             let mut aborted = false;
             for _ in 0..200 {
@@ -473,7 +492,7 @@ mod tests {
     #[test]
     fn attempt_returns_value_on_commit() {
         let (mem, x) = one_var_mem(1, 5);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let got = s.attempt(|s| {
                 let v = s.load(x)?;
                 s.store(x, v * 2)?;
@@ -489,7 +508,7 @@ mod tests {
     #[should_panic(expected = "simulated thread panicked")]
     fn attempt_detects_swallowed_abort() {
         let (mem, x) = one_var_mem(1, 0);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let _ = s.attempt(|s| {
                 let _ = s.xabort(1, false);
                 // Misuse: carry on as if nothing happened.
@@ -502,7 +521,7 @@ mod tests {
     #[test]
     fn rmw_primitives_in_and_out_of_txn() {
         let (mem, x) = one_var_mem(1, 10);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             // Non-transactional.
             assert_eq!(s.fetch_add(x, 5).unwrap(), 10);
             assert_eq!(s.swap(x, 100).unwrap(), 15);
@@ -521,7 +540,10 @@ mod tests {
     #[test]
     fn nontxn_rmw_is_atomic_across_threads() {
         let (mem, x) = one_var_mem(4, 0);
-        let (_, mem, _) = harness::run(4, 32, HtmConfig::deterministic(), 1, mem, move |s| {
+        let mem = Arc::new(mem);
+        let plan = FaultPlan::none().with_preempt(300, 900).with_jitter(250).with_seed(9);
+        let cfg = HtmConfig::deterministic();
+        harness::run_arc_faulted(4, cfg, 1, plan, Arc::clone(&mem), move |s| {
             for _ in 0..500 {
                 s.fetch_add(x, 1).unwrap();
             }
@@ -532,7 +554,7 @@ mod tests {
     #[test]
     fn spin_until_expires_inside_txn() {
         let (mem, x) = one_var_mem(1, 0);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             s.begin();
             let err = s.spin_until(x, 10, |v| v == 1).unwrap_err();
             assert_eq!(err, Abort);
@@ -549,7 +571,7 @@ mod tests {
         let x = b.alloc_isolated(0);
         let y = b.alloc_isolated(0);
         let mem = b.freeze(2);
-        let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 s.begin();
                 let vx = match s.load(x) {
@@ -594,7 +616,7 @@ mod tests {
     #[test]
     fn stats_count_events() {
         let (mem, x) = one_var_mem(1, 0);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let _ = s.attempt(|s| s.store(x, 1));
             s.begin();
             let _ = s.xabort(3, true);
@@ -613,7 +635,7 @@ mod tests {
         let a = b.alloc(0);
         let c = b.alloc(0);
         let mem = b.freeze(2);
-        let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 s.begin();
                 s.load(a).unwrap();
@@ -641,7 +663,7 @@ mod tests {
             u64::MAX,
             1000,
         ));
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             s.load(x).unwrap_err();
             assert_eq!(s.last_abort().reason, AbortReason::Spurious);
@@ -652,7 +674,7 @@ mod tests {
         let (mem, x) = one_var_mem(1, 0);
         let cfg =
             HtmConfig::deterministic().with_faults(HtmFaults::none().with_storm(u64::MAX, 0, 1000));
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             for _ in 0..50 {
                 s.load(x).unwrap();
@@ -671,7 +693,7 @@ mod tests {
         let cfg = HtmConfig::deterministic()
             .with_capacity(64, 64)
             .with_faults(HtmFaults::none().with_squeeze(u64::MAX, u64::MAX, 2, 2));
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             s.load(VarId::from_index(vars.index())).unwrap();
             s.load(VarId::from_index(vars.index() + 1)).unwrap();
@@ -686,7 +708,7 @@ mod tests {
         let hot = mem.line_of(x).0;
         let cfg =
             HtmConfig::deterministic().with_faults(HtmFaults::none().with_hot_line(hot, 1000));
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             s.load(x).unwrap_err();
             assert_eq!(s.last_abort().reason, AbortReason::Conflict);
@@ -703,7 +725,7 @@ mod tests {
         let data = b.alloc_isolated(0);
         let mem = b.freeze(1);
         let cfg = HtmConfig::deterministic().with_capacity(1, 64);
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.enable_cause_slots(1_000_000);
             // Conflict on the lock word's line -> lock-word conflict.
             s.begin();
@@ -746,7 +768,7 @@ mod tests {
             u64::MAX,
             1000,
         ));
-        harness::run(1, 0, cfg, 1, mem, move |s| {
+        harness::run(1, cfg, 1, mem, move |s| {
             s.begin();
             s.load(x).unwrap_err();
             assert_eq!(s.counters.causes.get(AbortCause::FaultInjected), 1);
@@ -762,7 +784,7 @@ mod tests {
             let mem = b.freeze(2);
             let cfg = HtmConfig::deterministic()
                 .with_faults(HtmFaults::none().with_storm(5_000, 500, 400).with_hot_line(0, 50));
-            let (results, mem, makespan) = harness::run(2, 0, cfg, 42, mem, move |s| {
+            let (results, mem, makespan) = harness::run(2, cfg, 42, mem, move |s| {
                 let mut commits = 0u64;
                 for _ in 0..50 {
                     loop {

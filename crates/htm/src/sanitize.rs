@@ -11,16 +11,13 @@
 //! happens-before race detection, opacity/sandboxing checks and
 //! lock-discipline lints.
 //!
-//! Soundness of the log's *order* relies on the simulator's strict
-//! scheduling window (window 0): everything a thread executes between two
+//! Soundness of the log's *order* relies on the simulator running one
+//! thread at a time: everything a thread executes between two
 //! `SimHandle::advance` calls is atomic with respect to the simulated
 //! interleaving, and all commit publications and non-transactional
 //! writes additionally serialize on the memory's engine mutex. Under
 //! those two facts the log's append order is the execution order, so the
-//! event's index in the log is its global sequence number. Sanitized
-//! runs must therefore use window 0 (or the controlled scheduler, which
-//! also runs one thread at a time); relaxed windows give a log whose
-//! order is only approximate.
+//! event's index in the log is its global sequence number.
 //!
 //! Recording an event never advances a logical clock and never draws
 //! from an RNG stream, so enabling the sanitizer cannot perturb the

@@ -8,7 +8,7 @@ fn empty_transaction_commits() {
     let mut b = MemoryBuilder::new();
     let _ = b.alloc(0);
     let mem = b.freeze(1);
-    harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
         s.begin();
         s.commit().unwrap();
         assert_eq!(s.stats.commits, 1);
@@ -24,7 +24,7 @@ fn two_elided_locks_in_one_transaction() {
     let lock_a = b.alloc_isolated(0);
     let lock_b = b.alloc_isolated(0);
     let mem = b.freeze(1);
-    harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
         // Both restored: commits.
         s.begin();
         s.elide_rmw(lock_a, |_| 1).unwrap();
@@ -52,7 +52,7 @@ fn rmw_on_elided_var_stays_an_illusion() {
     let mut b = MemoryBuilder::new();
     let lock = b.alloc_isolated(7);
     let mem = b.freeze(2);
-    let (results, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (results, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
         let r = s.attempt(|s| {
             let old = s.elide_rmw(lock, |v| v + 1)?;
             assert_eq!(old, 7);
@@ -76,7 +76,7 @@ fn nontransactional_read_does_not_doom_elider() {
     let mut b = MemoryBuilder::new();
     let lock = b.alloc_isolated(0);
     let mem = b.freeze(2);
-    let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
         if s.tid() == 0 {
             s.begin();
             s.elide_rmw(lock, |_| 1).unwrap();
@@ -106,7 +106,7 @@ fn failed_nontxn_cas_still_dooms_speculative_writers() {
     let mut b = MemoryBuilder::new();
     let x = b.alloc_isolated(5);
     let mem = b.freeze(2);
-    let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
         if s.tid() == 0 {
             s.begin();
             s.store(x, 9).unwrap();
@@ -134,7 +134,7 @@ fn stale_doom_does_not_kill_next_transaction() {
     let x = b.alloc_isolated(0);
     let y = b.alloc_isolated(0);
     let mem = b.freeze(2);
-    let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
         if s.tid() == 0 {
             // First transaction: gets doomed.
             s.begin();
@@ -167,7 +167,7 @@ fn conflict_line_is_reported_in_abort_status() {
     let mut b = MemoryBuilder::new();
     let x = b.alloc_isolated(0);
     let mem = b.freeze(2);
-    let (results, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (results, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
         if s.tid() == 0 {
             s.begin();
             s.load(x).unwrap();
@@ -192,7 +192,7 @@ fn work_and_spin_never_fail_outside_transactions() {
     let mut b = MemoryBuilder::new();
     let _ = b.alloc(0);
     let mem = b.freeze(1);
-    harness::run(1, 0, HtmConfig::deterministic().with_spurious(1.0, 1.0), 1, mem, move |s| {
+    harness::run(1, HtmConfig::deterministic().with_spurious(1.0, 1.0), 1, mem, move |s| {
         // Even with maximal spurious-abort settings, non-transactional
         // bookkeeping operations cannot fail.
         for _ in 0..100 {

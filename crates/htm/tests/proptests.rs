@@ -63,7 +63,7 @@ proptest! {
         b.alloc_array(VARS, 0);
         let mem = b.freeze(1);
         let steps2 = steps.clone();
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             s.begin();
             for st in &steps2 {
                 match *st {
@@ -100,7 +100,7 @@ proptest! {
         b.alloc_array(VARS, 0);
         let mem = b.freeze(1);
         let steps2 = steps.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let mut model = [0u64; VARS];
             s.begin();
             for st in &steps2 {
@@ -142,7 +142,7 @@ proptest! {
         let mem = b.freeze(threads);
         let cfg = HtmConfig::deterministic().with_spurious(rate, per_access);
         let ops = 30u64;
-        let (_, mem, _) = harness::run(threads, 0, cfg, 11, mem, move |s| {
+        let (_, mem, _) = harness::run(threads, cfg, 11, mem, move |s| {
             for _ in 0..ops {
                 loop {
                     let r = s.attempt(|s| {

@@ -9,7 +9,7 @@ fn strand_records_txn_lifecycle_in_order() {
     let x = b.alloc_isolated(7);
     b.enable_sanitizer();
     let mem = b.freeze(1);
-    let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
         s.begin();
         let v = s.load(x).unwrap();
         s.store(x, v + 1).unwrap();
@@ -35,7 +35,7 @@ fn aborts_and_plain_accesses_are_logged() {
     let x = b.alloc_isolated(0);
     b.enable_sanitizer();
     let mem = b.freeze(1);
-    let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
         s.begin();
         let _ = s.xabort(7, false);
         s.store(x, 3).unwrap();
@@ -61,7 +61,7 @@ fn doomed_transactions_publish_nothing() {
     let x = b.alloc_isolated(0);
     b.enable_sanitizer();
     let mem = b.freeze(2);
-    let (_, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (_, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
         if s.tid() == 0 {
             s.begin();
             let _ = s.store(x, 42);

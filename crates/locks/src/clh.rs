@@ -172,23 +172,30 @@ mod tests {
     use super::*;
     use crate::testutil;
     use elision_htm::{harness, AbortReason, HtmConfig, MemoryBuilder};
+    use elision_sim::FaultPlan;
     use std::sync::Arc;
 
     #[test]
     fn provides_mutual_exclusion() {
-        let (count, _) = testutil::mutex_stress::<ClhLock, _>(4, 200, 0, ClhLock::new);
+        let (count, _) =
+            testutil::mutex_stress::<ClhLock, _>(4, 200, FaultPlan::none(), ClhLock::new);
         assert_eq!(count, 800);
     }
 
+    /// The seeded fault plan makes the threads' clocks lag one another by
+    /// up to a preemption pause, so lock handoffs land at points that
+    /// equal-cost lockstep never reaches.
     #[test]
     fn provides_mutual_exclusion_with_lag_window() {
-        let (count, _) = testutil::mutex_stress::<ClhLock, _>(8, 100, 32, ClhLock::new);
+        let (count, _) =
+            testutil::mutex_stress::<ClhLock, _>(8, 100, testutil::shuffled(), ClhLock::new);
         assert_eq!(count, 800);
     }
 
     #[test]
     fn unadapted_provides_mutual_exclusion_too() {
-        let (count, _) = testutil::mutex_stress::<ClhLock, _>(4, 100, 0, ClhLock::new_unadapted);
+        let (count, _) =
+            testutil::mutex_stress::<ClhLock, _>(4, 100, FaultPlan::none(), ClhLock::new_unadapted);
         assert_eq!(count, 400);
     }
 
@@ -202,7 +209,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = Arc::new(ClhLock::new_unadapted(&mut b, 1));
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let r = s.attempt(|s| {
                 lock.elided_acquire(s)?;
                 lock.elided_release(s)?;
@@ -218,7 +225,7 @@ mod tests {
         let lock = Arc::new(ClhLock::new(&mut b, 1));
         let tail = lock.tail;
         let mem = b.freeze(1);
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             lock.acquire(s).unwrap();
             lock.release(s).unwrap();
             assert!(!lock.is_locked(s).unwrap());
@@ -232,7 +239,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = Arc::new(ClhLock::new(&mut b, 1));
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             assert!(!lock.is_locked(s).unwrap());
             lock.acquire(s).unwrap();
             assert!(lock.is_locked(s).unwrap());

@@ -143,13 +143,26 @@ pub(crate) const TXN_SPIN_BUDGET: u32 = 64;
 #[cfg(test)]
 pub(crate) mod testutil {
     use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, Strand};
+    use elision_sim::FaultPlan;
     use std::sync::Arc;
 
-    /// Run a mutual-exclusion stress: `threads` threads each perform
-    /// `ops` non-atomic increments of a shared counter inside the lock.
-    /// Returns the final counter value (must equal `threads * ops`) and
-    /// the memory.
-    pub fn mutex_stress<L, F>(threads: usize, ops: u64, window: u64, build: F) -> (u64, Arc<Memory>)
+    /// Seeded preemption plus clock jitter: de-synchronises the threads'
+    /// clocks so a stress visits interleavings that equal-cost lockstep
+    /// never reaches, while staying deterministic.
+    pub fn shuffled() -> FaultPlan {
+        FaultPlan::none().with_preempt(400, 1_500).with_jitter(300).with_seed(31)
+    }
+
+    /// Run a mutual-exclusion stress under the fault plan `faults`:
+    /// `threads` threads each perform `ops` non-atomic increments of a
+    /// shared counter inside the lock. Returns the final counter value
+    /// (must equal `threads * ops`) and the memory.
+    pub fn mutex_stress<L, F>(
+        threads: usize,
+        ops: u64,
+        faults: FaultPlan,
+        build: F,
+    ) -> (u64, Arc<Memory>)
     where
         L: super::RawLock + 'static,
         F: FnOnce(&mut MemoryBuilder, usize) -> L,
@@ -157,13 +170,13 @@ pub(crate) mod testutil {
         let mut b = MemoryBuilder::new();
         let counter = b.alloc_isolated(0);
         let lock = Arc::new(build(&mut b, threads));
-        let mem = b.freeze(threads);
-        let (_, mem, _) = harness::run(
+        let mem = Arc::new(b.freeze(threads));
+        harness::run_arc_faulted(
             threads,
-            window,
             HtmConfig::deterministic(),
             7,
-            mem,
+            faults,
+            Arc::clone(&mem),
             move |s: &mut Strand| {
                 for _ in 0..ops {
                     lock.acquire(s).unwrap();
@@ -188,7 +201,7 @@ pub(crate) mod testutil {
         let lock = Arc::new(build(&mut b, 1));
         let mem = b.freeze(1);
         let (mut results, mem, _) =
-            harness::run(1, 0, HtmConfig::deterministic(), 7, mem, move |s: &mut Strand| {
+            harness::run(1, HtmConfig::deterministic(), 7, mem, move |s: &mut Strand| {
                 let r = s.attempt(|s| {
                     lock.elided_acquire(s)?;
                     let v = s.load(data)?;

@@ -141,17 +141,23 @@ mod tests {
     use super::*;
     use crate::testutil;
     use elision_htm::{harness, HtmConfig, MemoryBuilder};
+    use elision_sim::FaultPlan;
     use std::sync::Arc;
 
     #[test]
     fn provides_mutual_exclusion() {
-        let (count, _) = testutil::mutex_stress::<McsLock, _>(4, 200, 0, McsLock::new);
+        let (count, _) =
+            testutil::mutex_stress::<McsLock, _>(4, 200, FaultPlan::none(), McsLock::new);
         assert_eq!(count, 800);
     }
 
+    /// The seeded fault plan makes the threads' clocks lag one another by
+    /// up to a preemption pause, so lock handoffs land at points that
+    /// equal-cost lockstep never reaches.
     #[test]
     fn provides_mutual_exclusion_with_lag_window() {
-        let (count, _) = testutil::mutex_stress::<McsLock, _>(8, 100, 32, McsLock::new);
+        let (count, _) =
+            testutil::mutex_stress::<McsLock, _>(8, 100, testutil::shuffled(), McsLock::new);
         assert_eq!(count, 800);
     }
 
@@ -165,7 +171,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = Arc::new(McsLock::new(&mut b, 2));
         let mem = b.freeze(2);
-        let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 lock.acquire(s).unwrap();
                 s.work(2000).unwrap();
@@ -195,7 +201,7 @@ mod tests {
         let order = b.alloc_isolated(0);
         let lock = Arc::new(McsLock::new(&mut b, 2));
         let mem = b.freeze(2);
-        let (_, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 lock.acquire(s).unwrap();
                 s.work(3000).unwrap();

@@ -158,19 +158,22 @@ mod tests {
     use super::*;
     use crate::testutil;
     use elision_htm::{harness, AbortReason, HtmConfig, MemoryBuilder};
+    use elision_sim::FaultPlan;
     use std::sync::Arc;
 
     #[test]
     fn provides_mutual_exclusion() {
-        let (count, _) = testutil::mutex_stress::<TicketLock, _>(4, 200, 0, TicketLock::new);
+        let (count, _) =
+            testutil::mutex_stress::<TicketLock, _>(4, 200, FaultPlan::none(), TicketLock::new);
         assert_eq!(count, 800);
     }
 
     #[test]
     fn unadapted_provides_mutual_exclusion_too() {
-        let (count, _) = testutil::mutex_stress::<TicketLock, _>(4, 100, 32, |b, t| {
-            TicketLock::new_unadapted(b, t)
-        });
+        let (count, _) =
+            testutil::mutex_stress::<TicketLock, _>(4, 100, testutil::shuffled(), |b, t| {
+                TicketLock::new_unadapted(b, t)
+            });
         assert_eq!(count, 400);
     }
 
@@ -184,7 +187,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = Arc::new(TicketLock::new_unadapted(&mut b, 1));
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let r = s.attempt(|s| {
                 lock.elided_acquire(s)?;
                 lock.elided_release(s)?;
@@ -201,7 +204,7 @@ mod tests {
         let next = lock.next;
         let owner = lock.owner;
         let mem = b.freeze(1);
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             lock.acquire(s).unwrap();
             lock.release(s).unwrap();
         });
@@ -217,7 +220,7 @@ mod tests {
         let lock = Arc::new(TicketLock::new(&mut b, 2));
         let owner = lock.owner;
         let mem = b.freeze(2);
-        let (_, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 lock.acquire(s).unwrap();
                 s.work(2000).unwrap(); // ensure thread 1 queues
@@ -237,7 +240,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = Arc::new(TicketLock::new(&mut b, 2));
         let mem = b.freeze(2);
-        let (results, ..) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, ..) = harness::run(2, HtmConfig::deterministic(), 1, mem, move |s| {
             if s.tid() == 0 {
                 lock.acquire(s).unwrap();
                 s.work(2000).unwrap();

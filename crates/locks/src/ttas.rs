@@ -104,17 +104,27 @@ mod tests {
     use super::*;
     use crate::testutil;
     use elision_htm::{harness, HtmConfig, MemoryBuilder};
+    use elision_sim::FaultPlan;
     use std::sync::Arc;
 
     #[test]
     fn provides_mutual_exclusion() {
-        let (count, _) = testutil::mutex_stress::<TtasLock, _>(4, 200, 0, |b, _| TtasLock::new(b));
+        let (count, _) =
+            testutil::mutex_stress::<TtasLock, _>(4, 200, FaultPlan::none(), |b, _| {
+                TtasLock::new(b)
+            });
         assert_eq!(count, 800);
     }
 
+    /// The seeded fault plan makes the threads' clocks lag one another by
+    /// up to a preemption pause, so lock handoffs land at points that
+    /// equal-cost lockstep never reaches.
     #[test]
     fn provides_mutual_exclusion_with_lag_window() {
-        let (count, _) = testutil::mutex_stress::<TtasLock, _>(8, 100, 32, |b, _| TtasLock::new(b));
+        let (count, _) =
+            testutil::mutex_stress::<TtasLock, _>(8, 100, testutil::shuffled(), |b, _| {
+                TtasLock::new(b)
+            });
         assert_eq!(count, 800);
     }
 
@@ -129,7 +139,7 @@ mod tests {
         let lock = Arc::new(TtasLock::new(&mut b));
         let word = lock.word();
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             // Take the lock for real, then try to elide it.
             s.store(word, super::HELD).unwrap();
             s.begin();
@@ -144,7 +154,7 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let lock = Arc::new(TtasLock::new(&mut b));
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             assert_eq!(lock.fallback_acquire(s).unwrap(), FallbackOutcome::Acquired);
             assert!(lock.is_locked(s).unwrap());
             assert_eq!(lock.fallback_acquire(s).unwrap(), FallbackOutcome::Busy);

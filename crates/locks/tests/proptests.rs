@@ -1,9 +1,10 @@
 //! Property-based tests: mutual exclusion and elision safety for every
 //! lock family under randomized critical-section lengths, thread counts
-//! and scheduler windows.
+//! and seeded fault plans.
 
 use elision_htm::{harness, HtmConfig, MemoryBuilder};
 use elision_locks::{ClhLock, McsLock, RawLock, TicketLock, TtasLock};
+use elision_sim::FaultPlan;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -20,20 +21,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Non-atomic read-modify-write inside the lock must never lose an
-    /// update, for any lock, any CS length, any thread count, any window.
+    /// update, for any lock, any CS length, any thread count, with or
+    /// without seeded preemption and clock jitter.
     #[test]
     fn mutual_exclusion(
         kind in 0u8..4,
         threads in 2usize..6,
         cs_work in 0u64..24,
         ops in 10u64..60,
-        window in prop_oneof![Just(0u64), Just(8), Just(64)],
+        faulted in any::<bool>(),
+        fault_seed in 0u64..1_000,
     ) {
         let mut b = MemoryBuilder::new();
         let counter = b.alloc_isolated(0);
         let lock = build_lock(kind, &mut b, threads);
-        let mem = b.freeze(threads);
-        let (_, mem, _) = harness::run(threads, window, HtmConfig::deterministic(), 5, mem, move |s| {
+        let mem = Arc::new(b.freeze(threads));
+        let plan = if faulted {
+            FaultPlan::none().with_preempt(300, 1_000).with_jitter(300).with_seed(fault_seed)
+        } else {
+            FaultPlan::none()
+        };
+        let cfg = HtmConfig::deterministic();
+        harness::run_arc_faulted(threads, cfg, 5, plan, Arc::clone(&mem), move |s| {
             for _ in 0..ops {
                 lock.acquire(s).unwrap();
                 let v = s.load(counter).unwrap();
@@ -54,7 +63,7 @@ proptest! {
         let data = b.alloc_isolated(0);
         let lock = build_lock(kind, &mut b, 1);
         let mem = b.freeze(1);
-        harness::run(1, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 5, mem, move |s| {
             for _ in 0..rounds {
                 let r = s.attempt(|s| {
                     lock.elided_acquire(s)?;
@@ -86,7 +95,7 @@ proptest! {
         let counter = b.alloc_isolated(0);
         let lock = build_lock(kind, &mut b, threads);
         let mem = b.freeze(threads);
-        let (_, mem, _) = harness::run(threads, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+        let (_, mem, _) = harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
             for _ in 0..ops {
                 if s.tid() % 2 == 0 {
                     // Speculative user with a fallback loop.

@@ -129,9 +129,8 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceResult {
         let tables = tables.clone();
         let shards = spec.shards;
         let fill = spec.shards as u64 * spec.keys_per_shard as u64;
-        harness::run_arc(
+        harness::run(
             1,
-            0,
             HtmConfig::deterministic(),
             spec.seed ^ 0xF111,
             Arc::clone(&mem),
@@ -155,49 +154,42 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceResult {
     let phase_count = spec.phases.len();
     let wps = spec.workers_per_shard;
     let plan = Arc::new(plan);
-    let (results, makespan) = {
+    let (results, _, makespan) = {
         let plan: Arc<ServicePlan> = Arc::clone(&plan);
         let tables = tables.clone();
         let queues = queues.clone();
         let schemes = schemes.clone();
-        harness::run_arc(
-            workers,
-            spec.window,
-            spec.htm,
-            spec.seed,
-            Arc::clone(&mem),
-            move |s| -> WorkerOut {
-                let tid = s.tid();
-                let shard = tid / wps;
-                let table = &tables[shard];
-                let queue = &queues[shard];
-                let scheme = &schemes[shard];
-                let mut watchdog = Watchdog::new(0);
-                let mut phase_hist = vec![LatencyHistogram::new(); phase_count];
-                for req in &plan.per_worker[tid] {
-                    // Open-loop: idle until the scheduled arrival. When
-                    // the worker is backlogged (now > req.at) it starts
-                    // immediately and the queueing delay lands in the
-                    // measured latency.
-                    let now = s.now();
-                    if req.at > now {
-                        s.sim().advance(req.at - now);
-                    }
-                    let key = req.key;
-                    let out = scheme.execute(s, |s| match req.op {
-                        RequestOp::Get => table.get(s, key).map(|_| ()),
-                        RequestOp::Put => table.put(s, key, key).map(|_| ()),
-                        RequestOp::Remove => table.remove(s, key).map(|_| ()),
-                        RequestOp::Enqueue => queue.push(s, key).map(|_| ()),
-                        RequestOp::Dequeue => queue.pop(s).map(|_| ()),
-                    });
-                    let latency = s.now().saturating_sub(req.at);
-                    watchdog.record(out.attempts, latency);
-                    phase_hist[req.phase].record(latency);
+        harness::run(workers, spec.htm, spec.seed, Arc::clone(&mem), move |s| -> WorkerOut {
+            let tid = s.tid();
+            let shard = tid / wps;
+            let table = &tables[shard];
+            let queue = &queues[shard];
+            let scheme = &schemes[shard];
+            let mut watchdog = Watchdog::new(0);
+            let mut phase_hist = vec![LatencyHistogram::new(); phase_count];
+            for req in &plan.per_worker[tid] {
+                // Open-loop: idle until the scheduled arrival. When
+                // the worker is backlogged (now > req.at) it starts
+                // immediately and the queueing delay lands in the
+                // measured latency.
+                let now = s.now();
+                if req.at > now {
+                    s.sim().advance(req.at - now);
                 }
-                (s.counters, watchdog, phase_hist)
-            },
-        )
+                let key = req.key;
+                let out = scheme.execute(s, |s| match req.op {
+                    RequestOp::Get => table.get(s, key).map(|_| ()),
+                    RequestOp::Put => table.put(s, key, key).map(|_| ()),
+                    RequestOp::Remove => table.remove(s, key).map(|_| ()),
+                    RequestOp::Enqueue => queue.push(s, key).map(|_| ()),
+                    RequestOp::Dequeue => queue.pop(s).map(|_| ()),
+                });
+                let latency = s.now().saturating_sub(req.at);
+                watchdog.record(out.attempts, latency);
+                phase_hist[req.phase].record(latency);
+            }
+            (s.counters, watchdog, phase_hist)
+        })
     };
 
     // Aggregate: workers of shard k are tids [k*wps, (k+1)*wps).
@@ -271,6 +263,12 @@ mod tests {
         let by_phase: u64 = r.phases.iter().map(|p| p.requests).sum();
         assert_eq!(by_phase, r.requests);
         assert!(r.throughput > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be 0")]
+    fn lag_window_is_rejected() {
+        run_service(&ServiceSpec { window: 16, ..quick(SchemeKind::Hle) });
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub struct ServiceSpec {
     /// When set, the shard-routing salt flips at this cycle, migrating
     /// the hot key set to a different shard.
     pub migrate_at: Option<u64>,
-    /// Scheduler lag window (0 = fully deterministic).
+    /// What is left of the removed bounded-lag scheduling mode: must be 0.
+    /// Kept only so that existing struct literals compile; a later
+    /// benchmark change deletes it.
     pub window: u64,
     /// HTM configuration.
     pub htm: HtmConfig,
@@ -109,5 +111,6 @@ impl ServiceSpec {
         assert!(self.workers_per_shard > 0, "at least one worker per shard");
         assert!(self.workers() <= 64, "simulator supports at most 64 threads");
         assert!(!self.phases.is_empty(), "at least one arrival phase");
+        assert_eq!(self.window, 0, "the bounded-lag scheduling mode was removed: window must be 0");
     }
 }

@@ -1,16 +1,16 @@
 //! The model checker's scheduling chooser and schedule recorder.
 //!
-//! A controlled run is a window-0 run whose picks can be overridden.
+//! A controlled run is a free-running run whose picks can be overridden.
 //! The scheduler (see [`crate::Scheduler`]) makes one pick at every
 //! decision point: each [`crate::SimHandle::advance`] and finish of the
 //! running thread, once every live thread has reached its first
 //! `advance`. In a controlled run it asks [`ScheduleControl`] for that
-//! pick and then uses the same park/wake hand-off as a free-running
-//! window-0 run; the control itself never blocks anyone.
+//! pick and then uses the same park/wake hand-off as a free-running run;
+//! the control itself never blocks anyone.
 //!
-//! The default pick is the same `(clock, id)`-minimal rule the window-0
+//! The default pick is the same `(clock, id)`-minimal rule the free-running
 //! scheduler uses, so a run with no overrides reproduces the standard
-//! window-0 execution exactly. A schedule is a sparse map from decision
+//! execution exactly. A schedule is a sparse map from decision
 //! index to thread id; forcing a choice different from the default is a
 //! *divergence* (a preemption the free-running scheduler would not take).
 //!
@@ -41,7 +41,7 @@ pub struct StepAccess {
 pub struct StepRecord {
     /// Thread granted at this decision point.
     pub chosen: usize,
-    /// Thread the window-0 `(clock, id)`-minimal rule would have picked.
+    /// Thread the free-running `(clock, id)`-minimal rule would have picked.
     pub default: usize,
     /// Threads that had not yet finished at this decision point (sorted).
     pub enabled: Vec<usize>,
@@ -150,7 +150,7 @@ impl ScheduleControl {
         self.steps.lock().clone()
     }
 
-    /// How many decisions differed from the window-0 default choice.
+    /// How many decisions differed from the default `(clock, id)` choice.
     #[cfg(test)]
     pub(crate) fn divergences(&self) -> usize {
         self.steps.lock().iter().filter(|s| s.chosen != s.default).count()

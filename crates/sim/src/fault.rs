@@ -16,8 +16,8 @@
 //! All randomness derives from the plan's seed via per-thread [`DetRng`]
 //! streams, and every threshold is keyed off the owning thread's own clock.
 //! That makes the fault schedule a pure function of `(plan, thread id,
-//! thread-local history)` — independent of interleaving — so a run with
-//! `window == 0` is exactly reproducible from the seed.
+//! thread-local history)` — independent of interleaving — so a run is
+//! exactly reproducible from the seed.
 //!
 //! [`SimHandle::advance`]: crate::SimHandle::advance
 
@@ -86,8 +86,8 @@ impl FaultPlan {
 
 /// Counters describing the faults actually injected into one thread.
 ///
-/// Two runs with the same seed and `window == 0` produce identical stats;
-/// the chaos harness asserts exactly that.
+/// Two runs with the same seed produce identical stats; the chaos harness
+/// asserts exactly that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Number of simulated preemptions delivered.

@@ -8,15 +8,14 @@
 //! every simulated thread owns a monotonically increasing logical clock
 //! (measured in abstract "cycles"), every memory access / spin iteration /
 //! transaction event advances that clock by a cost taken from a
-//! [`CostModel`], and a scheduler only lets a thread run while its clock is
-//! within a bounded window of the global minimum clock.
+//! [`CostModel`], and the scheduler runs exactly one thread at a time: the
+//! one with the lexicographically smallest `(clock, thread id)`.
 //!
 //! The result is that critical sections genuinely *overlap in logical time*
 //! regardless of how the host OS schedules the backing threads, which is
-//! the property every experiment in the paper depends on. With
-//! [`SimBuilder::window`] set to `0` the interleaving is fully
-//! deterministic (exactly one thread — the lexicographically smallest
-//! `(clock, thread id)` — runs at a time), which the test-suites use.
+//! the property every experiment in the paper depends on, and that every
+//! run is fully deterministic: the interleaving is a pure function of the
+//! per-thread costs (and of a [`FaultPlan`]'s seed, when one is attached).
 //!
 //! # Quick example
 //!
@@ -26,7 +25,7 @@
 //! use std::sync::Arc;
 //!
 //! let hits = Arc::new(AtomicU64::new(0));
-//! let outcome = SimBuilder::new(4).window(0).run({
+//! let outcome = SimBuilder::new(4).run({
 //!     let hits = Arc::clone(&hits);
 //!     move |ctx| {
 //!         for _ in 0..100 {
@@ -52,7 +51,6 @@ mod rng;
 mod sched;
 mod slots;
 mod stats;
-mod trace;
 
 pub use arrivals::{generate_arrivals, Arrival, ArrivalPhase, Zipf};
 pub use control::{ScheduleControl, StepAccess, StepRecord};
@@ -62,7 +60,6 @@ pub use rng::DetRng;
 pub use sched::{Scheduler, SimHandle};
 pub use slots::{CauseSlotRecorder, CauseSlotSeries, SlotRecorder, SlotSeries};
 pub use stats::{AbortCause, AttemptKind, CauseHistogram, ConflictLineHistogram, OpCounters};
-pub use trace::{TraceEvent, TraceRing};
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -109,12 +106,11 @@ impl<R> SimOutcome<R> {
 /// A simulation consists of `threads` simulated threads all executing the
 /// same closure (distinguished by [`ThreadCtx::id`]). The closure runs on a
 /// real OS thread but is gated by the logical-clock scheduler: it must call
-/// [`SimHandle::advance`] for every costed event, and may be blocked there
-/// until slower peers catch up.
+/// [`SimHandle::advance`] for every costed event, and is blocked there
+/// until the scheduler picks it again.
 #[derive(Debug, Clone)]
 pub struct SimBuilder {
     threads: usize,
-    window: u64,
     faults: FaultPlan,
     control: Option<Arc<ScheduleControl>>,
 }
@@ -133,17 +129,19 @@ impl SimBuilder {
             "at most {} simulated threads are supported",
             sched::MAX_THREADS
         );
-        SimBuilder { threads, window: 64, faults: FaultPlan::none(), control: None }
+        SimBuilder { threads, faults: FaultPlan::none(), control: None }
     }
 
-    /// Set the bounded-lag window, in cycles.
+    /// What is left of the removed bounded-lag mode: accepts only 0, the
+    /// one scheduling rule there is, and changes nothing. Kept only so
+    /// that existing `.window(0)` callers compile; a later benchmark
+    /// change deletes it.
     ///
-    /// A thread may run while `clock <= min(live clocks) + window`. `0`
-    /// selects *strict* mode: exactly one thread (the lexicographically
-    /// smallest `(clock, id)`) runs at a time, making the whole simulation
-    /// deterministic. Larger windows trade determinism for host speed.
-    pub fn window(mut self, window: u64) -> Self {
-        self.window = window;
+    /// # Panics
+    ///
+    /// Panics if `window` is not 0.
+    pub fn window(self, window: u64) -> Self {
+        assert_eq!(window, 0, "the bounded-lag scheduling mode was removed: window must be 0");
         self
     }
 
@@ -157,8 +155,8 @@ impl SimBuilder {
 
     /// Serialize the run under a model-checker [`ScheduleControl`]: every
     /// [`SimHandle::advance`] becomes a decision point replayed from the
-    /// control's schedule. Forces window 0 semantics and bypasses any
-    /// attached fault plan (see the [`control`] module docs).
+    /// control's schedule. Bypasses any attached fault plan (see the
+    /// [`control`] module docs).
     pub fn control(mut self, control: Arc<ScheduleControl>) -> Self {
         self.control = Some(control);
         self
@@ -184,12 +182,7 @@ impl SimBuilder {
         R: Send + 'static,
         F: Fn(ThreadCtx) -> R + Clone + Send + 'static,
     {
-        let sched = Arc::new(Scheduler::build(
-            self.threads,
-            self.window,
-            self.faults,
-            self.control.clone(),
-        ));
+        let sched = Arc::new(Scheduler::build(self.threads, self.faults, self.control.clone()));
         let mut joins = Vec::with_capacity(self.threads);
         for id in 0..self.threads {
             let body = body.clone();
@@ -243,7 +236,7 @@ mod tests {
 
     #[test]
     fn single_thread_clock_accumulates() {
-        let out = SimBuilder::new(1).window(0).run(|ctx| {
+        let out = SimBuilder::new(1).run(|ctx| {
             for _ in 0..10 {
                 ctx.handle.advance(7);
             }
@@ -255,12 +248,12 @@ mod tests {
 
     #[test]
     fn threads_progress_in_lockstep_with_zero_window() {
-        // With window 0, at any advance the running thread is the global
-        // minimum, so observing a peer's clock far ahead is impossible.
+        // At any advance the running thread is the global minimum, so
+        // observing a peer's clock far ahead is impossible.
         let n = 4;
         let sched_times: Arc<Vec<AtomicU64>> =
             Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let out = SimBuilder::new(n).window(0).run({
+        let out = SimBuilder::new(n).run({
             let times = Arc::clone(&sched_times);
             move |ctx| {
                 let mut max_lead = 0i64;
@@ -287,7 +280,7 @@ mod tests {
 
     #[test]
     fn makespan_is_max_thread_time() {
-        let out = SimBuilder::new(3).window(16).run(|ctx| {
+        let out = SimBuilder::new(3).run(|ctx| {
             let steps = (ctx.id as u64 + 1) * 10;
             for _ in 0..steps {
                 ctx.handle.advance(2);
@@ -302,7 +295,7 @@ mod tests {
     fn uneven_finish_does_not_deadlock() {
         // Thread 0 finishes immediately; the others must still be able to
         // advance past it.
-        let out = SimBuilder::new(4).window(0).run(|ctx| {
+        let out = SimBuilder::new(4).run(|ctx| {
             if ctx.id == 0 {
                 return 0;
             }
@@ -319,7 +312,7 @@ mod tests {
 
     #[test]
     fn throughput_helper() {
-        let out = SimBuilder::new(2).window(0).run(|ctx| {
+        let out = SimBuilder::new(2).run(|ctx| {
             for _ in 0..50 {
                 ctx.handle.advance(10);
             }
@@ -332,7 +325,7 @@ mod tests {
     #[test]
     fn fault_plan_extends_makespan_deterministically() {
         let run = |plan: FaultPlan| {
-            SimBuilder::new(2).window(0).faults(plan).run(|ctx| {
+            SimBuilder::new(2).faults(plan).run(|ctx| {
                 for _ in 0..200 {
                     ctx.handle.advance(5);
                 }
@@ -352,7 +345,7 @@ mod tests {
 
     #[test]
     fn zero_cost_advance_is_allowed() {
-        let out = SimBuilder::new(2).window(0).run(|ctx| {
+        let out = SimBuilder::new(2).run(|ctx| {
             for _ in 0..10 {
                 ctx.handle.advance(0);
                 ctx.handle.advance(1);
@@ -385,7 +378,7 @@ mod tests {
 
     #[test]
     fn controlled_run_without_overrides_is_the_window0_run() {
-        let free = logged_run(SimBuilder::new(3).window(0));
+        let free = logged_run(SimBuilder::new(3));
         let ctl = Arc::new(ScheduleControl::new(3, BTreeMap::new()));
         let controlled = logged_run(SimBuilder::new(3).control(Arc::clone(&ctl)));
         assert_eq!(free, controlled);
@@ -419,13 +412,24 @@ mod tests {
 
     #[test]
     fn panicking_thread_fails_the_run_instead_of_hanging() {
-        for window in [0, 16] {
-            let msg = panic_message_of(move || panicking_run(SimBuilder::new(3).window(window)));
-            assert!(msg.ends_with("(thread 1): gave up"), "{msg}");
-        }
+        let msg = panic_message_of(|| panicking_run(SimBuilder::new(3)));
+        assert!(msg.ends_with("(thread 1): gave up"), "{msg}");
+        let plan = FaultPlan::none().with_preempt(20, 50).with_jitter(250).with_seed(5);
+        let msg = panic_message_of(move || panicking_run(SimBuilder::new(3).faults(plan)));
+        assert!(msg.ends_with("(thread 1): gave up"), "{msg}");
         let ctl = Arc::new(ScheduleControl::new(3, BTreeMap::new()));
         let msg = panic_message_of(move || panicking_run(SimBuilder::new(3).control(ctl)));
         assert!(msg.ends_with("(thread 1): gave up"), "{msg}");
+    }
+
+    #[test]
+    fn lag_window_shims_reject_nonzero_values() {
+        let _ = Scheduler::new(2, 0);
+        let _ = SimBuilder::new(2).window(0);
+        let msg = panic_message_of(|| drop(Scheduler::new(2, 16)));
+        assert!(msg.contains("window must be 0"), "{msg}");
+        let msg = panic_message_of(|| drop(SimBuilder::new(2).window(16)));
+        assert!(msg.contains("window must be 0"), "{msg}");
     }
 
     #[test]

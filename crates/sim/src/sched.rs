@@ -1,29 +1,21 @@
-//! The bounded-lag min-clock scheduler.
+//! The min-clock scheduler.
 //!
-//! Every simulated thread owns a logical clock. The scheduler's single
-//! invariant is the *bounded-lag* rule: a thread may only proceed past an
-//! [`SimHandle::advance`] call while
-//!
-//! ```text
-//! clock(self) <= min(clock(t) for live t) + window
-//! ```
-//!
-//! With `window == 0` the rule tightens to "only the thread the last pick
-//! named runs". A free-running run picks the lexicographically smallest
-//! `(clock, id)`, which yields a fully deterministic interleaving; a
-//! controlled run asks its [`ScheduleControl`] for each pick instead (see
-//! the [`crate::control`] module), and makes the first one only once every
-//! live thread has reached its first `advance`.
+//! Every simulated thread owns a logical clock, and exactly one thread
+//! runs at a time: the one the last pick named. A free-running run picks
+//! the lexicographically smallest `(clock, id)` among live threads, which
+//! yields a fully deterministic interleaving; a controlled run asks its
+//! [`ScheduleControl`] for each pick instead (see the [`crate::control`]
+//! module), and makes the first one only once every live thread has
+//! reached its first `advance`.
 //!
 //! # Parking
 //!
 //! Every run, free or controlled, uses one hand-off protocol. After
 //! bumping its clock (or finishing), a thread makes the pick and issues
-//! *directed* wakeups to the peers it makes runnable — exactly one thread
-//! (the one picked) at window 0, every thread back inside the lag window
-//! otherwise. A thread the rule does not admit parks on its own
-//! mutex/condvar pair. A free-running pick is one scan of the clocks; a
-//! controlled pick is the control's choice, published in `turn`.
+//! one *directed* wakeup to the thread picked, if that is not itself. A
+//! thread that was not picked parks on its own mutex/condvar pair. A
+//! free-running pick is one scan of the clocks; a controlled pick is the
+//! control's choice, published in `turn`.
 //!
 //! No wakeup is lost: a parker takes its own mutex, publishes its parked
 //! flag, and re-checks runnability *before* waiting; a waker publishes its
@@ -74,7 +66,6 @@ struct Parker {
 /// The shared scheduler state for one simulation run.
 #[derive(Debug)]
 pub struct Scheduler {
-    window: u64,
     times: Vec<PaddedClock>,
     /// Per-thread parking places for the directed-wakeup protocol.
     parkers: Vec<Parker>,
@@ -85,7 +76,7 @@ pub struct Scheduler {
     /// Each entry is only ever locked by its own thread, so the mutexes are
     /// uncontended — they exist to make the state shareable via `&self`.
     faults: Vec<Mutex<FaultThreadState>>,
-    /// When set, the model checker makes every window-0 pick.
+    /// When set, the model checker makes every pick.
     control: Option<Arc<ScheduleControl>>,
     /// Controlled runs: the thread the last pick named (`usize::MAX`
     /// before the first pick).
@@ -100,21 +91,27 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Create a scheduler for `threads` simulated threads with the given
-    /// bounded-lag `window`.
+    /// Create a free-running scheduler for `threads` simulated threads.
+    ///
+    /// `window` is what is left of the removed bounded-lag mode, kept only
+    /// so that existing `Scheduler::new(n, 0)` callers compile; a later
+    /// benchmark change deletes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is not 0.
     pub fn new(threads: usize, window: u64) -> Self {
-        Self::build(threads, window, FaultPlan::none(), None)
+        assert_eq!(window, 0, "the bounded-lag scheduling mode was removed: window must be 0");
+        Self::build(threads, FaultPlan::none(), None)
     }
 
     /// Create a scheduler that injects the faults described by `plan` (see
     /// [`FaultPlan`]; an inactive plan is free), or, given a `control`,
-    /// one whose picks that [`ScheduleControl`] makes. Controlled runs are
-    /// always window 0 and never inject faults: the clock still accrues
-    /// per-thread costs (it feeds the default min-clock pick and the final
-    /// makespan).
+    /// one whose picks that [`ScheduleControl`] makes. Controlled runs
+    /// never inject faults: the clock still accrues per-thread costs (it
+    /// feeds the default min-clock pick and the final makespan).
     pub(crate) fn build(
         threads: usize,
-        window: u64,
         plan: FaultPlan,
         control: Option<Arc<ScheduleControl>>,
     ) -> Self {
@@ -128,7 +125,6 @@ impl Scheduler {
             Vec::new()
         };
         Scheduler {
-            window: if control.is_some() { 0 } else { window },
             times: (0..threads).map(|_| PaddedClock(AtomicU64::new(0))).collect(),
             parkers: (0..threads).map(|_| Parker::default()).collect(),
             start: Mutex::new(false),
@@ -187,7 +183,9 @@ impl Scheduler {
         (best, best_id)
     }
 
-    fn is_runnable(&self, id: usize, my_time: u64) -> bool {
+    /// Whether thread `id` holds the pick: the control's `turn` in a
+    /// controlled run, the minimum `(clock, id)` in a free one.
+    fn is_runnable(&self, id: usize) -> bool {
         if self.poisoned.load(Ordering::SeqCst) {
             return true;
         }
@@ -195,14 +193,7 @@ impl Scheduler {
             return self.turn.load(Ordering::SeqCst) == id;
         }
         let (min, min_id) = self.min_clock();
-        if min == DONE {
-            return true;
-        }
-        if self.window == 0 {
-            (my_time, id) <= (min, min_id)
-        } else {
-            my_time <= min.saturating_add(self.window)
-        }
+        min == DONE || min_id == id
     }
 
     /// Notify thread `target` if it is parked. Taking the parker's mutex
@@ -217,12 +208,11 @@ impl Scheduler {
         }
     }
 
-    /// Directed wakeups after a clock change by (or finish of) `id` in a
-    /// free-running run: scan the clocks once and notify exactly the peers
-    /// the new state makes runnable — the new lexicographic minimum at
-    /// window 0, every thread back inside the lag window otherwise.
-    /// Returns the scanned `(min, min_id)` so `advance` can reuse it for
-    /// its own runnability check without a second scan.
+    /// The directed wakeup after a clock change by (or finish of) `id` in
+    /// a free-running run: scan the clocks once and notify the new
+    /// lexicographic minimum, the one runnable thread. Returns the scanned
+    /// `(min, min_id)` so `hand_off` can reuse it for the caller's own
+    /// runnability check without a second scan.
     fn wake_runnable(&self, id: usize) -> (u64, usize) {
         let (min, min_id) = self.min_clock();
         if min == DONE {
@@ -231,27 +221,17 @@ impl Scheduler {
             for t in 0..self.parkers.len() {
                 self.wake(t);
             }
-        } else if self.window == 0 {
-            // Exactly one thread is runnable: the minimum. Skip the
-            // self-notify when the caller kept the baton.
-            if min_id != id {
-                self.wake(min_id);
-            }
-        } else {
-            let cap = min.saturating_add(self.window);
-            for t in 0..self.parkers.len() {
-                if t != id && self.times[t].0.load(Ordering::SeqCst) <= cap {
-                    self.wake(t);
-                }
-            }
+        } else if min_id != id {
+            // Skip the self-notify when the caller kept the baton.
+            self.wake(min_id);
         }
         (min, min_id)
     }
 
     /// Make the pick that follows a clock change by (or the finish of)
-    /// `id`, now at clock `t`, wake whom it admits, and report whether `id`
-    /// may keep running.
-    fn hand_off(&self, id: usize, t: u64) -> bool {
+    /// `id`, wake the thread picked, and report whether `id` may keep
+    /// running.
+    fn hand_off(&self, id: usize) -> bool {
         if let Some(ctl) = &self.control {
             // Only the thread the last pick named runs, so one that does
             // not hold the turn is arriving: at its first `advance`, or
@@ -273,24 +253,18 @@ impl Scheduler {
             return next == id;
         }
         let (min, min_id) = self.wake_runnable(id);
-        if min == DONE {
-            true
-        } else if self.window == 0 {
-            (t, id) <= (min, min_id)
-        } else {
-            t <= min.saturating_add(self.window)
-        }
+        min == DONE || min_id == id
     }
 
-    /// Block until the bounded-lag rule readmits thread `id` at clock `t`.
-    /// Unwinds instead when the scheduler has been poisoned.
-    fn park(&self, id: usize, t: u64) {
+    /// Block until a pick names thread `id`. Unwinds instead when the
+    /// scheduler has been poisoned.
+    fn park(&self, id: usize) {
         let p = &self.parkers[id];
         let mut guard = p.mutex.lock();
         p.parked.store(true, Ordering::SeqCst);
         // Re-check under the mutex: a waker that missed our parked flag
         // has already published its change, so this check sees it.
-        while !self.is_runnable(id, t) {
+        while !self.is_runnable(id) {
             p.cv.wait(&mut guard);
         }
         p.parked.store(false, Ordering::SeqCst);
@@ -308,21 +282,21 @@ impl Scheduler {
             }
             None => cost,
         };
-        let t = self.times[id].0.fetch_add(cost, Ordering::SeqCst) + cost;
-        // Single-thread fast path: alone, a free run's bounded-lag rule is
-        // always satisfied and there is no one to wake (fill phases and
+        self.times[id].0.fetch_add(cost, Ordering::SeqCst);
+        // Single-thread fast path: alone, a free run's thread is always
+        // the minimum and there is no one to wake (fill phases and
         // single-thread baselines take this branch on every advance).
         if self.times.len() == 1 && self.control.is_none() {
             return;
         }
-        if !self.hand_off(id, t) {
-            self.park(id, t);
+        if !self.hand_off(id) {
+            self.park(id);
         }
     }
 
     fn finish(&self, id: usize) {
         self.times[id].0.store(DONE, Ordering::SeqCst);
-        self.hand_off(id, DONE);
+        self.hand_off(id);
     }
 
     /// Record that thread `id` panicked with `payload` and release every
@@ -380,8 +354,8 @@ impl SimHandle {
         self.sched.time_of(self.id)
     }
 
-    /// Advance the thread's logical clock by `cost` cycles, blocking while
-    /// the bounded-lag rule forbids this thread from running.
+    /// Advance the thread's logical clock by `cost` cycles, blocking until
+    /// the scheduler picks this thread again.
     ///
     /// This is the simulation's only yield point: all simulated work —
     /// memory accesses, spin iterations, transaction bookkeeping, pure
@@ -427,11 +401,15 @@ impl SimHandle {
 mod tests {
     use super::*;
 
+    fn free(threads: usize) -> Scheduler {
+        Scheduler::build(threads, FaultPlan::none(), None)
+    }
+
     #[test]
     fn min_clock_ignores_finished_threads() {
         // NOTE: `advance` may park the calling thread, so scheduler unit
         // tests only drive the non-blocking entry points.
-        let s = Scheduler::new(3, 0);
+        let s = free(3);
         s.release_start();
         s.finish(0);
         s.finish(1);
@@ -439,42 +417,30 @@ mod tests {
         assert_eq!((min, id), (0, 2), "live thread 2 holds the minimum");
         assert_eq!(s.time_of(0), u64::MAX, "finished threads report DONE");
         // With every peer finished, thread 2 (the minimum) is runnable.
-        assert!(s.is_runnable(2, 0));
-    }
-
-    #[test]
-    fn runnable_respects_window() {
-        let s = Scheduler::new(2, 8);
-        s.release_start();
-        // Thread 0 at 0, thread 1 at 0: both runnable.
-        assert!(s.is_runnable(0, 0));
-        assert!(s.is_runnable(1, 0));
-        // Push thread 0 to 9 while thread 1 is at 0: 9 > 0 + 8.
-        assert!(!s.is_runnable(0, 9));
-        assert!(s.is_runnable(0, 8));
+        assert!(s.is_runnable(2));
     }
 
     #[test]
     fn strict_mode_breaks_ties_by_id() {
-        let s = Scheduler::new(2, 0);
+        let s = free(2);
         s.release_start();
         // Both clocks 0: only thread 0 is runnable.
-        assert!(s.is_runnable(0, 0));
-        assert!(!s.is_runnable(1, 0));
+        assert!(s.is_runnable(0));
+        assert!(!s.is_runnable(1));
     }
 
     #[test]
     fn all_done_is_runnable() {
-        let s = Scheduler::new(2, 0);
+        let s = free(2);
         s.release_start();
         s.finish(0);
         s.finish(1);
-        assert!(s.is_runnable(0, DONE));
+        assert!(s.is_runnable(0));
     }
 
     #[test]
     fn wake_runnable_reports_the_minimum() {
-        let s = Scheduler::new(3, 0);
+        let s = free(3);
         s.release_start();
         s.times[0].0.store(10, Ordering::SeqCst);
         s.times[2].0.store(4, Ordering::SeqCst);
@@ -490,15 +456,15 @@ mod tests {
         // the parked thread must be released by the directed wakeup. This
         // is the race the Dekker-style flag/clock ordering closes.
         for _ in 0..200 {
-            let s = Arc::new(Scheduler::new(2, 0));
+            let s = Arc::new(free(2));
             s.release_start();
             // Thread 1 at clock 5: not runnable while thread 0 is at 0.
             let parker = {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     s.times[1].0.store(5, Ordering::SeqCst);
-                    if !s.is_runnable(1, 5) {
-                        s.park(1, 5);
+                    if !s.is_runnable(1) {
+                        s.park(1);
                     }
                 })
             };

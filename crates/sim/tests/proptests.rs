@@ -14,11 +14,10 @@ proptest! {
     fn clocks_accumulate_costs(
         threads in 1usize..6,
         costs in prop::collection::vec(0u64..50, 1..60),
-        window in prop_oneof![Just(0u64), Just(16), Just(128)],
     ) {
         let costs = Arc::new(costs);
         let expected: u64 = costs.iter().sum();
-        let out = SimBuilder::new(threads).window(window).run({
+        let out = SimBuilder::new(threads).run({
             let costs = Arc::clone(&costs);
             move |ctx| {
                 for &c in costs.iter() {
@@ -34,18 +33,17 @@ proptest! {
         prop_assert_eq!(out.makespan, expected);
     }
 
-    /// Bounded lag: while running, no thread ever observes itself more
-    /// than `window + max_cost` ahead of a live peer it samples.
+    /// Bounded lag: only the minimum runs, so no thread ever observes
+    /// itself more than about `max_cost` ahead of a live peer it samples.
     #[test]
     fn bounded_lag_holds(
         threads in 2usize..5,
-        window in prop_oneof![Just(0u64), Just(8), Just(32)],
         steps in 20usize..120,
     ) {
         let times: Arc<Vec<AtomicU64>> =
             Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
         let max_cost = 5u64;
-        let out = SimBuilder::new(threads).window(window).run({
+        let out = SimBuilder::new(threads).run({
             let times = Arc::clone(&times);
             move |ctx| {
                 let mut worst = 0i64;
@@ -68,16 +66,16 @@ proptest! {
         });
         // A peer's published clock may lag its true clock by one step; a
         // finished peer stops publishing entirely, so the observable
-        // bound is window + 2*max_cost plus the unpublished tail of a
-        // finishing thread — use a generous structural bound.
-        let limit = window as i64 + 3 * max_cost as i64 + steps as i64 * max_cost as i64 / 4;
+        // bound is 2*max_cost plus the unpublished tail of a finishing
+        // thread — use a generous structural bound.
+        let limit = 3 * max_cost as i64 + steps as i64 * max_cost as i64 / 4;
         for w in out.results {
-            prop_assert!(w <= limit, "lag {w} exceeded bound {limit} (window {window})");
+            prop_assert!(w <= limit, "lag {w} exceeded bound {limit}");
         }
     }
 
-    /// Strict mode (window 0) is deterministic: two identical runs
-    /// produce identical per-thread interleaving fingerprints.
+    /// Scheduling is deterministic: two identical runs produce identical
+    /// per-thread interleaving fingerprints.
     #[test]
     fn strict_mode_is_deterministic(
         threads in 2usize..5,
@@ -86,7 +84,7 @@ proptest! {
         let fingerprint = |_: ()| {
             let order: Arc<parking_lot::Mutex<Vec<usize>>> =
                 Arc::new(parking_lot::Mutex::new(Vec::new()));
-            SimBuilder::new(threads).window(0).run({
+            SimBuilder::new(threads).run({
                 let order = Arc::clone(&order);
                 move |ctx| {
                     for i in 0..steps {

@@ -11,7 +11,7 @@ fn staggered_finishers_never_deadlock() {
     // Threads finish at very different times; remaining threads must keep
     // making progress past each departure.
     let n = 12;
-    let out = SimBuilder::new(n).window(0).run(|ctx| {
+    let out = SimBuilder::new(n).run(|ctx| {
         let steps = (ctx.id as u64 + 1) * 200;
         for _ in 0..steps {
             ctx.handle.advance(1);
@@ -27,7 +27,7 @@ fn staggered_finishers_never_deadlock() {
 fn extreme_cost_imbalance() {
     // One thread advances in huge strides, others in tiny ones; totals
     // must still be exact and the run must finish.
-    let out = SimBuilder::new(4).window(8).run(|ctx| {
+    let out = SimBuilder::new(4).run(|ctx| {
         if ctx.id == 0 {
             for _ in 0..50 {
                 ctx.handle.advance(10_000);
@@ -49,7 +49,7 @@ fn extreme_cost_imbalance() {
 #[test]
 fn many_threads_smoke() {
     let n = 32;
-    let out = SimBuilder::new(n).window(16).run(|ctx| {
+    let out = SimBuilder::new(n).run(|ctx| {
         for _ in 0..300 {
             ctx.handle.advance(2);
         }
@@ -60,7 +60,7 @@ fn many_threads_smoke() {
 
 #[test]
 fn handle_clones_share_the_clock() {
-    let out = SimBuilder::new(1).window(0).run(|ctx| {
+    let out = SimBuilder::new(1).run(|ctx| {
         let clone: SimHandle = ctx.handle.clone();
         ctx.handle.advance(5);
         clone.advance(7);
@@ -71,11 +71,11 @@ fn handle_clones_share_the_clock() {
 
 #[test]
 fn zero_window_interleaves_at_fine_grain() {
-    // In strict mode with equal costs, threads must take turns at every
+    // With equal costs, threads must take turns at every
     // step: the recorded interleaving must alternate rather than batch.
     let n = 3;
     let order: Arc<parking_lot::Mutex<Vec<usize>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    SimBuilder::new(n).window(0).run({
+    SimBuilder::new(n).run({
         let order = Arc::clone(&order);
         move |ctx| {
             for _ in 0..50 {
@@ -101,7 +101,7 @@ fn fault_injected_run_accounts_every_cycle() {
     // cycles the fault layer reports injecting — no cycle invented or
     // lost while clocks jump around.
     let plan = FaultPlan::none().with_preempt(500, 2_000).with_jitter(250).with_seed(11);
-    let out = SimBuilder::new(6).window(8).faults(plan).run(|ctx| {
+    let out = SimBuilder::new(6).faults(plan).run(|ctx| {
         for _ in 0..400 {
             ctx.handle.advance(7);
         }
@@ -118,11 +118,11 @@ fn fault_injected_run_accounts_every_cycle() {
 fn no_lost_wakeup_when_clocks_jump_past_stalled_threads() {
     // Thread 0 stalls in giant strides while the rest advance at fine
     // grain under heavy preemption. A preemption jump can leap a thread
-    // far past the bounded-lag frontier; the waiters behind it must still
-    // be woken when the minimum clock catches up — a lost wakeup
-    // deadlocks this run (caught by the test harness as a hang).
+    // far past its peers; the waiters behind it must still be woken when
+    // it becomes the minimum again — a lost wakeup deadlocks this run
+    // (caught by the test harness as a hang).
     let plan = FaultPlan::none().with_preempt(300, 5_000).with_seed(3);
-    let out = SimBuilder::new(5).window(4).faults(plan).run(|ctx| {
+    let out = SimBuilder::new(5).faults(plan).run(|ctx| {
         let mut steps = 0u64;
         if ctx.id == 0 {
             for _ in 0..40 {
@@ -145,22 +145,21 @@ fn no_lost_wakeup_when_clocks_jump_past_stalled_threads() {
 
 #[test]
 fn lag_stays_bounded_under_preemption_jumps() {
-    // Bounded-lag invariant under faults: a thread may land at most one
-    // advance (cost + injected extra) past `min + window`. Each thread
-    // posts its clock after every advance; every post checks itself
-    // against the slowest still-running peer.
+    // Only the minimum runs, so under faults a thread may land at most one
+    // advance (cost + injected extra) past the slowest live peer. Each
+    // thread posts its clock after every advance; every post checks
+    // itself against the slowest still-running peer.
     let n = 4;
-    let window = 16u64;
     let cost = 5u64;
     let pause = 1_200u64;
     let plan = FaultPlan::none().with_preempt(200, pause).with_jitter(200).with_seed(17);
     // One preemption threshold at most per advance (cost << interval),
     // plus jitter of at most cost/5.
-    let allowed = window + cost + pause + cost;
+    let allowed = cost + pause + cost;
     let clocks: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
     let done: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
     let worst = Arc::new(AtomicU64::new(0));
-    SimBuilder::new(n).window(window).faults(plan).run({
+    SimBuilder::new(n).faults(plan).run({
         let clocks = Arc::clone(&clocks);
         let done = Arc::clone(&done);
         let worst = Arc::clone(&worst);
@@ -189,11 +188,11 @@ fn lag_stays_bounded_under_preemption_jumps() {
 #[test]
 fn fault_schedule_identical_across_reruns_at_window_zero() {
     // The fault schedule is keyed off each thread's own clock and seed
-    // stream: at window 0 two runs of the same program are identical down
-    // to every preemption and jitter draw.
+    // stream: two runs of the same program are identical down to every
+    // preemption and jitter draw.
     let plan = FaultPlan::none().with_preempt(150, 900).with_jitter(300).with_seed(29);
     let run = || {
-        SimBuilder::new(4).window(0).faults(plan).run(|ctx| {
+        SimBuilder::new(4).faults(plan).run(|ctx| {
             // Vary the stride per thread so the schedules genuinely differ
             // across threads (kept >= 4 so the 30% jitter span is nonzero).
             let stride = 4 + ctx.id as u64;
@@ -215,11 +214,13 @@ fn fault_schedule_identical_across_reruns_at_window_zero() {
 
 #[test]
 fn monitorable_progress_under_contention() {
-    // All threads hammer a host-side atomic while gated: the scheduler
+    // All threads hammer a host-side atomic while gated, with seeded
+    // preemption and jitter de-synchronising their clocks: the scheduler
     // must not starve anyone (every thread completes its share).
     let n = 8;
     let total = Arc::new(AtomicU64::new(0));
-    let out = SimBuilder::new(n).window(4).run({
+    let plan = FaultPlan::none().with_preempt(200, 600).with_jitter(300).with_seed(23);
+    let out = SimBuilder::new(n).faults(plan).run({
         let total = Arc::clone(&total);
         move |ctx| {
             let mut mine = 0u64;

@@ -47,15 +47,7 @@ mod tests {
     use elision_htm::HtmConfig;
 
     fn quick_run(kind: KernelKind, scheme: SchemeKind, lock: LockKind, threads: usize) -> StampRun {
-        run_kernel(
-            kind,
-            scheme,
-            lock,
-            threads,
-            &StampParams::quick(),
-            0,
-            HtmConfig::deterministic(),
-        )
+        run_kernel(kind, scheme, lock, threads, &StampParams::quick(), HtmConfig::deterministic())
     }
 
     #[test]

@@ -159,7 +159,6 @@ pub fn run_kernel(
     lock: LockKind,
     threads: usize,
     params: &StampParams,
-    window: u64,
     htm: HtmConfig,
 ) -> StampRun {
     let mut b = MemoryBuilder::new();
@@ -168,7 +167,7 @@ pub fn run_kernel(
     let mem = b.freeze(threads);
     kernel.init(&mem);
     let kernel2 = Arc::clone(&kernel);
-    let (results, mem, makespan) = harness::run(threads, window, htm, params.seed, mem, {
+    let (results, mem, makespan) = harness::run(threads, htm, params.seed, mem, {
         move |s| {
             kernel2.run_thread(s, &scheme, threads);
             (s.counters, s.stats)

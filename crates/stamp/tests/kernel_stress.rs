@@ -2,9 +2,11 @@
 //! verify under hostile HTM configurations, odd thread counts, and the
 //! extension scheme.
 
-use elision_core::{LockKind, SchemeKind};
-use elision_htm::HtmConfig;
-use elision_stamp::{run_kernel, KernelKind, StampParams};
+use elision_core::{make_scheme, LockKind, SchemeConfig, SchemeKind};
+use elision_htm::{harness, HtmConfig, MemoryBuilder};
+use elision_sim::FaultPlan;
+use elision_stamp::{build_kernel, run_kernel, KernelKind, StampParams};
+use std::sync::Arc;
 
 #[test]
 fn kernels_verify_with_odd_thread_counts() {
@@ -16,7 +18,6 @@ fn kernels_verify_with_odd_thread_counts() {
                 LockKind::Mcs,
                 threads,
                 &StampParams::quick(),
-                0,
                 HtmConfig::deterministic(),
             );
             assert!(run.makespan > 0, "{kind} with {threads} threads");
@@ -28,15 +29,8 @@ fn kernels_verify_with_odd_thread_counts() {
 fn kernels_verify_under_spurious_storm() {
     let storm = HtmConfig::deterministic().with_spurious(0.25, 0.001);
     for kind in KernelKind::ALL {
-        let run = run_kernel(
-            kind,
-            SchemeKind::OptSlr,
-            LockKind::Ttas,
-            4,
-            &StampParams::quick(),
-            0,
-            storm,
-        );
+        let run =
+            run_kernel(kind, SchemeKind::OptSlr, LockKind::Ttas, 4, &StampParams::quick(), storm);
         assert!(run.txn_stats.aborts_spurious > 0, "{kind}: storm did not fire");
     }
 }
@@ -47,15 +41,8 @@ fn kernels_verify_under_tight_capacity() {
     // still verifies.
     let tight = HtmConfig::deterministic().with_capacity(48, 16);
     for kind in [KernelKind::Labyrinth, KernelKind::Yada, KernelKind::VacationHigh] {
-        let run = run_kernel(
-            kind,
-            SchemeKind::OptSlr,
-            LockKind::Ttas,
-            4,
-            &StampParams::quick(),
-            0,
-            tight,
-        );
+        let run =
+            run_kernel(kind, SchemeKind::OptSlr, LockKind::Ttas, 4, &StampParams::quick(), tight);
         if kind == KernelKind::Labyrinth {
             assert!(run.txn_stats.aborts_capacity > 0, "labyrinth should hit the capacity limit");
             assert!(
@@ -67,19 +54,28 @@ fn kernels_verify_under_tight_capacity() {
     }
 }
 
+/// Seeded preemption and jitter make the threads' clocks lag one another
+/// by up to a preemption pause.
 #[test]
 fn kernels_verify_with_bounded_lag_window() {
+    let (threads, params) = (4, StampParams::quick());
+    let plan = FaultPlan::none().with_preempt(500, 2_000).with_jitter(300).with_seed(32);
     for kind in [KernelKind::Ssca2, KernelKind::KmeansLow, KernelKind::Yada] {
-        let run = run_kernel(
-            kind,
-            SchemeKind::SlrScm,
-            LockKind::Clh,
-            4,
-            &StampParams::quick(),
-            32,
-            HtmConfig::deterministic(),
-        );
-        assert!(run.counters.completed() > 0, "{kind}");
+        let mut b = MemoryBuilder::new();
+        let kernel = build_kernel(kind, &mut b, threads, &params);
+        let scheme =
+            make_scheme(SchemeKind::SlrScm, LockKind::Clh, SchemeConfig::paper(), &mut b, threads);
+        let mem = Arc::new(b.freeze(threads));
+        kernel.init(&mem);
+        let k = Arc::clone(&kernel);
+        let cfg = HtmConfig::deterministic();
+        let (completed, ..) =
+            harness::run_arc_faulted(threads, cfg, params.seed, plan, Arc::clone(&mem), move |s| {
+                k.run_thread(s, &scheme, threads);
+                s.counters.completed()
+            });
+        kernel.verify(&mem).unwrap_or_else(|e| panic!("{kind}: verification failed: {e}"));
+        assert!(completed.iter().sum::<u64>() > 0, "{kind}");
     }
 }
 
@@ -93,7 +89,6 @@ fn stamp_contention_ordering_holds() {
         LockKind::Ttas,
         6,
         &StampParams::quick(),
-        0,
         HtmConfig::deterministic(),
     );
     let low = run_kernel(
@@ -102,7 +97,6 @@ fn stamp_contention_ordering_holds() {
         LockKind::Ttas,
         6,
         &StampParams::quick(),
-        0,
         HtmConfig::deterministic(),
     );
     let rate = |r: &elision_stamp::StampRun| {
@@ -126,7 +120,6 @@ fn intruder_queue_contention_shows_up() {
         LockKind::Ttas,
         6,
         &StampParams::quick(),
-        0,
         HtmConfig::deterministic(),
     );
     let ssca2 = run_kernel(
@@ -135,7 +128,6 @@ fn intruder_queue_contention_shows_up() {
         LockKind::Ttas,
         6,
         &StampParams::quick(),
-        0,
         HtmConfig::deterministic(),
     );
     let rate = |r: &elision_stamp::StampRun| {

@@ -185,7 +185,7 @@ impl HashTable {
     /// let mem = b.freeze(1);
     /// table.init(&mem);
     /// let t = table.clone();
-    /// harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    /// harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
     ///     assert_eq!(t.put(s, 3, 30).unwrap(), None);
     ///     assert_eq!(t.put(s, 3, 33).unwrap(), Some(30));
     ///     assert_eq!(t.get(s, 3).unwrap(), Some(33));

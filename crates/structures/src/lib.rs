@@ -18,7 +18,7 @@
 //! let mem = b.freeze(1);
 //! tree.init(&mem);
 //! let t = tree.clone();
-//! let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+//! let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
 //!     for k in [5, 1, 9, 3] {
 //!         t.insert(s, k).unwrap();
 //!     }
@@ -60,7 +60,7 @@ mod tests {
         let mem = b.freeze(1);
         tree.init(&mem);
         let t = tree.clone();
-        let (results, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 11, mem, move |s| {
+        let (results, mem, _) = harness::run(1, HtmConfig::deterministic(), 11, mem, move |s| {
             let mut model = BTreeSet::new();
             let mut rng = DetRng::new(99, 0);
             for _ in 0..2000 {
@@ -98,7 +98,7 @@ mod tests {
         tree.init(&mem);
         let t = tree.clone();
         let (results, mem, _) =
-            harness::run(threads, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+            harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
                 let mut delta = 0i64;
                 for _ in 0..150 {
                     let key = s.rng.below(64);
@@ -134,7 +134,7 @@ mod tests {
             tree.init(&mem);
             let t = tree.clone();
             let (results, mem, _) =
-                harness::run(threads, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+                harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
                     let mut delta = 0i64;
                     for _ in 0..80 {
                         let key = s.rng.below(32);
@@ -165,7 +165,7 @@ mod tests {
         let mem = b.freeze(1);
         table.init(&mem);
         let t = table.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 11, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 11, mem, move |s| {
             let mut model = std::collections::HashMap::new();
             let mut rng = DetRng::new(7, 3);
             for _ in 0..1500 {
@@ -197,7 +197,7 @@ mod tests {
         table.init(&mem);
         let t = table.clone();
         let (results, mem, _) =
-            harness::run(threads, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+            harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
                 let mut delta = 0i64;
                 for _ in 0..150 {
                     let key = s.rng.below(128);
@@ -229,7 +229,7 @@ mod tests {
         let q = SimQueue::new(&mut b, 8);
         let mem = b.freeze(1);
         let qq = q.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             assert!(qq.is_empty(s).unwrap());
             for v in 10..15 {
                 assert!(qq.push(s, v).unwrap());
@@ -248,7 +248,7 @@ mod tests {
         let q = SimQueue::new(&mut b, 4);
         let mem = b.freeze(1);
         let qq = q.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             for v in 0..4 {
                 assert!(qq.push(s, v).unwrap());
             }
@@ -271,7 +271,7 @@ mod tests {
         let mem = b.freeze(threads);
         let qq = q.clone();
         let (results, mem, _) =
-            harness::run(threads, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+            harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
                 let mut popped = 0u64;
                 if s.tid() % 2 == 0 {
                     for i in 0..per {
@@ -299,7 +299,7 @@ mod tests {
         let mem = b.freeze(1);
         list.init(&mem);
         let l = list.clone();
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let mut model = BTreeSet::new();
             let mut rng = DetRng::new(31, 0);
             for _ in 0..800 {
@@ -341,7 +341,7 @@ mod tests {
                 table.init(&mem);
                 let (t, l, h, qq) = (tree.clone(), list.clone(), table.clone(), q.clone());
                 let (results, mem, _) =
-                    harness::run(2, 0, HtmConfig::deterministic(), 9, mem, move |s| {
+                    harness::run(2, HtmConfig::deterministic(), 9, mem, move |s| {
                         let mut delta = 0i64;
                         for _ in 0..60 {
                             let key = s.rng.below(48);
@@ -394,7 +394,7 @@ mod tests {
         let mem = b.freeze(threads);
         tree.init(&mem);
         let t = tree.clone();
-        let (_, mem, _) = harness::run(threads, 0, HtmConfig::deterministic(), 5, mem, move |s| {
+        let (_, mem, _) = harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
             if s.tid() == 0 {
                 // Speculative traversals, racing the writer.
                 let mut aborted = 0;

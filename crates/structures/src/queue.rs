@@ -69,7 +69,7 @@ impl SimQueue {
     /// let q = SimQueue::new(&mut b, 4);
     /// let mem = b.freeze(1);
     /// let qq = q.clone();
-    /// harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    /// harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
     ///     assert!(qq.push(s, 1).unwrap());
     ///     assert_eq!(qq.pop(s).unwrap(), Some(1));
     ///     assert_eq!(qq.pop(s).unwrap(), None);

@@ -243,7 +243,7 @@ impl RbTree {
     /// let mem = b.freeze(1);
     /// tree.init(&mem);
     /// let t = tree.clone();
-    /// let (results, ..) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    /// let (results, ..) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
     ///     let fresh = t.insert(s, 7)?;
     ///     let dup = t.insert(s, 7)?;
     ///     Ok::<_, elision_htm::Abort>((fresh, dup))

@@ -34,7 +34,7 @@ proptest! {
         tree.init(&mem);
         let t = tree.clone();
         let ops2 = ops.clone();
-        let (results, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (results, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let mut model = BTreeSet::new();
             for op in &ops2 {
                 match *op {
@@ -63,7 +63,7 @@ proptest! {
         let mem = b.freeze(1);
         table.init(&mem);
         let t = table.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let mut model: HashMap<u64, u64> = HashMap::new();
             for &(k, v, kind) in &ops {
                 match kind {
@@ -86,7 +86,7 @@ proptest! {
         let mem = b.freeze(1);
         list.init(&mem);
         let l = list.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             let mut model = BTreeSet::new();
             for op in &ops {
                 match *op {
@@ -117,7 +117,7 @@ proptest! {
         tree.init(&mem);
         let t = tree.clone();
         let warm2 = warm.clone();
-        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let (_, mem, _) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
             for &k in &warm2 {
                 t.insert(s, k).unwrap();
             }

@@ -1,5 +1,5 @@
-//! Anatomy of an abort storm: use the execution-trace facility to watch
-//! one thread's transactions live through a lemming episode, and the
+//! Anatomy of an abort storm: use the sanitizer event log to watch one
+//! thread's transactions live through a lemming episode, and the
 //! abort-status register to classify what killed each attempt.
 //!
 //! ```text
@@ -7,17 +7,21 @@
 //! ```
 
 use elision_core::{make_scheme, LockKind, SchemeConfig, SchemeKind};
-use elision_htm::{harness, HtmConfig, MemoryBuilder};
-use elision_sim::TraceEvent;
+use elision_htm::{harness, HtmConfig, MemoryBuilder, SanAccess};
 use elision_structures::{key_domain, OpMix, RbTree, TreeOp};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
 const TREE_SIZE: usize = 32;
+/// How many of thread 0's transaction events to print.
+const SHOWN: usize = 40;
 
 fn main() {
     let domain = key_domain(TREE_SIZE);
     let mut b = MemoryBuilder::new();
+    // The sanitizer log records every thread's transaction events in
+    // execution order, without advancing any clock.
+    b.enable_sanitizer();
     let tree = RbTree::new(&mut b, domain as usize + 64, THREADS);
     let scheme =
         make_scheme(SchemeKind::Hle, LockKind::Mcs, SchemeConfig::paper(), &mut b, THREADS);
@@ -25,7 +29,7 @@ fn main() {
     tree.init(&mem);
     {
         let fill = tree.clone();
-        harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
+        harness::run(1, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
             let mut n = 0;
             while n < TREE_SIZE {
                 let key = s.rng.below(domain);
@@ -38,11 +42,7 @@ fn main() {
     }
 
     let tree2 = tree.clone();
-    let (results, _) = harness::run_arc(THREADS, 16, HtmConfig::haswell(), 42, mem, move |s| {
-        // Record the first 40 transaction events of thread 0.
-        if s.tid() == 0 {
-            s.enable_trace(40);
-        }
+    let (results, mem, _) = harness::run(THREADS, HtmConfig::haswell(), 42, mem, move |s| {
         for _ in 0..150 {
             let op = OpMix::MODERATE.draw(&mut s.rng);
             let key = s.rng.below(domain);
@@ -52,23 +52,46 @@ fn main() {
                 TreeOp::Lookup => tree2.contains(s, key).map(|_| ()),
             });
         }
-        (s.trace.take(), s.stats)
+        s.stats
     });
 
-    let (trace, _) = &results[0];
-    let trace = trace.as_ref().expect("thread 0 traced");
+    let log = mem.san_log().expect("sanitizer enabled").snapshot();
+    let txn_events: Vec<_> = log
+        .iter()
+        .filter(|e| e.tid == 0)
+        .filter(|e| {
+            matches!(
+                e.access,
+                SanAccess::TxnBegin | SanAccess::TxnCommit | SanAccess::TxnAbort { .. }
+            )
+        })
+        .take(SHOWN)
+        .collect();
     println!("--- first transaction events of thread 0 (HLE over MCS) ---");
-    print!("{}", trace.dump());
-    let aborts = trace.count(|e| matches!(e, TraceEvent::TxnAbort(_)));
-    let commits = trace.count(|e| matches!(e, TraceEvent::TxnCommit));
-    println!("\ntraced: {commits} commits, {aborts} aborts");
+    let (mut commits, mut aborts) = (0, 0);
+    for e in &txn_events {
+        let what = match e.access {
+            SanAccess::TxnBegin => "txn-begin".to_string(),
+            SanAccess::TxnCommit => {
+                commits += 1;
+                "txn-commit".to_string()
+            }
+            SanAccess::TxnAbort { cause } => {
+                aborts += 1;
+                format!("txn-abort({})", cause.label())
+            }
+            _ => unreachable!("filtered to transaction events"),
+        };
+        println!("{:>12}  {what}", e.time);
+    }
+    println!("\nshown: {commits} commits, {aborts} aborts");
 
     println!("\n--- abort causes, all threads ---");
     println!(
         "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "thread", "conflict", "capacity", "explicit", "spurious", "restore"
     );
-    for (tid, (_, st)) in results.iter().enumerate() {
+    for (tid, st) in results.iter().enumerate() {
         println!(
             "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9}",
             tid,
@@ -80,7 +103,7 @@ fn main() {
         );
     }
     println!(
-        "\nReading the trace: under the MCS lemming effect nearly every begin is \
+        "\nReading the events: under the MCS lemming effect nearly every begin is \
          followed by an explicit abort (code 3 — the arriving thread saw the \
          queue non-empty) and the operation completes under the real lock."
     );

@@ -53,7 +53,7 @@ fn solo_elision(kind: LockKind) -> String {
     let data = b.alloc_isolated(0);
     let lock = make_lock(kind, &mut b, 1);
     let mem = b.freeze(1);
-    let (mut results, ..) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (mut results, ..) = harness::run(1, HtmConfig::deterministic(), 1, mem, move |s| {
         let r = s.attempt(|s| {
             lock.elided_acquire(s)?;
             let v = s.load(data)?;
@@ -85,16 +85,15 @@ fn disjoint_throughput(kind: LockKind, scheme_kind: SchemeKind) -> f64 {
             .expect("non-SCM scheme needs no aux"),
     );
     let mem = b.freeze(threads);
-    let (_, _, makespan) =
-        harness::run(threads, 16, HtmConfig::deterministic(), 5, mem, move |s| {
-            let my = slots[s.tid()];
-            for _ in 0..ops {
-                scheme.execute(s, |s| {
-                    let v = s.load(my)?;
-                    s.work(10)?;
-                    s.store(my, v + 1)
-                });
-            }
-        });
+    let (_, _, makespan) = harness::run(threads, HtmConfig::deterministic(), 5, mem, move |s| {
+        let my = slots[s.tid()];
+        for _ in 0..ops {
+            scheme.execute(s, |s| {
+                let v = s.load(my)?;
+                s.work(10)?;
+                s.store(my, v + 1)
+            });
+        }
+    });
     ops as f64 * threads as f64 * 1000.0 / makespan as f64
 }

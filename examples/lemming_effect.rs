@@ -59,7 +59,7 @@ fn run_under(kind: SchemeKind) -> (f64, OpCounters) {
     tree.init(&mem);
     {
         let fill_tree = tree.clone();
-        harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
+        harness::run(1, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
             let mut filled = 0;
             while filled < TREE_SIZE {
                 let key = s.rng.below(domain);
@@ -71,8 +71,8 @@ fn run_under(kind: SchemeKind) -> (f64, OpCounters) {
         tree.rebalance_freelists(&mem);
     }
     let tree2 = tree.clone();
-    let (results, makespan) =
-        harness::run_arc(THREADS, 16, HtmConfig::haswell(), 42, Arc::clone(&mem), move |s| {
+    let (results, _, makespan) =
+        harness::run(THREADS, HtmConfig::haswell(), 42, Arc::clone(&mem), move |s| {
             for _ in 0..OPS_PER_THREAD {
                 let op = OpMix::MODERATE.draw(&mut s.rng);
                 let key = s.rng.below(domain);

@@ -54,7 +54,7 @@ fn run_under(kind: SchemeKind) -> (f64, OpCounters) {
     // Fill the tree to its target size (single simulated thread).
     {
         let fill_tree = tree.clone();
-        harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
+        harness::run(1, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
             let mut filled = 0;
             while filled < TREE_SIZE {
                 let key = s.rng.below(domain);
@@ -69,8 +69,8 @@ fn run_under(kind: SchemeKind) -> (f64, OpCounters) {
     // The measured phase: every thread runs the paper's moderate mix
     // (10% insert / 10% delete / 80% lookup).
     let tree2 = tree.clone();
-    let (results, makespan) =
-        harness::run_arc(THREADS, 16, HtmConfig::haswell(), 42, Arc::clone(&mem), move |s| {
+    let (results, _, makespan) =
+        harness::run(THREADS, HtmConfig::haswell(), 42, Arc::clone(&mem), move |s| {
             for _ in 0..OPS_PER_THREAD {
                 let op = OpMix::MODERATE.draw(&mut s.rng);
                 let key = s.rng.below(domain);

@@ -33,7 +33,6 @@ fn main() {
                     lock,
                     threads,
                     &StampParams::quick(),
-                    16,
                     HtmConfig::haswell(),
                 );
                 if scheme == SchemeKind::Standard {

@@ -61,7 +61,6 @@ fn fig11_pipeline_two_kernels() {
             LockKind::Ttas,
             4,
             &StampParams::quick(),
-            0,
             HtmConfig::deterministic(),
         );
         let slr = run_kernel(
@@ -70,7 +69,6 @@ fn fig11_pipeline_two_kernels() {
             LockKind::Ttas,
             4,
             &StampParams::quick(),
-            0,
             HtmConfig::deterministic(),
         );
         assert!(std.makespan > 0 && slr.makespan > 0);
@@ -89,7 +87,6 @@ fn hashtable_pipeline_smoke() {
         size: 128,
         mix: OpMix::EXTENSIVE,
         ops_per_thread: 100,
-        window: 0,
         htm: HtmConfig::deterministic(),
         seed: 9,
         scheme_cfg: elision_core::SchemeConfig::paper(),

@@ -1,10 +1,11 @@
 //! Cross-crate correctness: every scheme must preserve atomicity and
-//! structure invariants on every lock family, under lag windows, abort
-//! storms and mixed structures — the safety net under all performance
-//! claims.
+//! structure invariants on every lock family, under simulated preemption
+//! and clock jitter, abort storms and mixed structures — the safety net
+//! under all performance claims.
 
 use elision_core::{make_scheme, LazyMode, LockKind, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, MemoryBuilder};
+use elision_sim::FaultPlan;
 use elision_structures::{HashTable, OpAction, OpResponse, RbTree, SimQueue, SortedList};
 use std::sync::Arc;
 
@@ -23,7 +24,12 @@ const LOCKS: [LockKind; 4] = [LockKind::Ttas, LockKind::Mcs, LockKind::Ticket, L
 /// queue: an item is "minted" into the tree, later migrated tree→table,
 /// then table→queue, then consumed. Conservation: minted == in-tree +
 /// in-table + in-queue + consumed.
-fn mixed_structures_run(scheme_kind: SchemeKind, lock: LockKind, window: u64, htm: HtmConfig) {
+fn mixed_structures_run(
+    scheme_kind: SchemeKind,
+    lock: LockKind,
+    faults: FaultPlan,
+    htm: HtmConfig,
+) {
     let threads = 4;
     let ops = 120u64;
     let mut b = MemoryBuilder::new();
@@ -40,7 +46,7 @@ fn mixed_structures_run(scheme_kind: SchemeKind, lock: LockKind, window: u64, ht
     let t = tree.clone();
     let tab = table.clone();
     let q = queue.clone();
-    let (_, _) = harness::run_arc(threads, window, htm, 77, Arc::clone(&mem), move |s| {
+    harness::run_arc_faulted(threads, htm, 77, faults, Arc::clone(&mem), move |s| {
         for i in 0..ops {
             let kind = s.rng.below(4);
             let key = (s.tid() as u64) << 32 | i; // unique keys per thread
@@ -92,7 +98,7 @@ fn mixed_structures_run(scheme_kind: SchemeKind, lock: LockKind, window: u64, ht
 fn mixed_structures_all_schemes_ttas_mcs() {
     for scheme in SCHEMES {
         for lock in [LockKind::Ttas, LockKind::Mcs] {
-            mixed_structures_run(scheme, lock, 0, HtmConfig::deterministic());
+            mixed_structures_run(scheme, lock, FaultPlan::none(), HtmConfig::deterministic());
         }
     }
 }
@@ -101,15 +107,18 @@ fn mixed_structures_all_schemes_ttas_mcs() {
 fn mixed_structures_adapted_fair_locks() {
     for lock in [LockKind::Ticket, LockKind::Clh] {
         for scheme in [SchemeKind::Hle, SchemeKind::HleScm, SchemeKind::SlrScm] {
-            mixed_structures_run(scheme, lock, 0, HtmConfig::deterministic());
+            mixed_structures_run(scheme, lock, FaultPlan::none(), HtmConfig::deterministic());
         }
     }
 }
 
+/// Seeded preemption and jitter make the threads' clocks lag one another
+/// by up to a preemption pause.
 #[test]
 fn mixed_structures_with_lag_window() {
+    let faults = FaultPlan::none().with_preempt(400, 1_500).with_jitter(300).with_seed(32);
     for scheme in [SchemeKind::Hle, SchemeKind::HleScm, SchemeKind::OptSlr] {
-        mixed_structures_run(scheme, LockKind::Ttas, 32, HtmConfig::deterministic());
+        mixed_structures_run(scheme, LockKind::Ttas, faults, HtmConfig::deterministic());
     }
 }
 
@@ -117,7 +126,7 @@ fn mixed_structures_with_lag_window() {
 fn mixed_structures_under_spurious_storm() {
     let storm = HtmConfig::deterministic().with_spurious(0.3, 0.002);
     for scheme in [SchemeKind::Hle, SchemeKind::HleScm, SchemeKind::OptSlr, SchemeKind::SlrScm] {
-        mixed_structures_run(scheme, LockKind::Mcs, 0, storm);
+        mixed_structures_run(scheme, LockKind::Mcs, FaultPlan::none(), storm);
     }
 }
 
@@ -127,12 +136,12 @@ fn mixed_structures_under_tight_capacity() {
     // back to the lock and still be atomic.
     let tight = HtmConfig::deterministic().with_capacity(256, 12);
     for scheme in [SchemeKind::Hle, SchemeKind::OptSlr, SchemeKind::SlrScm] {
-        mixed_structures_run(scheme, LockKind::Ttas, 0, tight);
+        mixed_structures_run(scheme, LockKind::Ttas, FaultPlan::none(), tight);
     }
 }
 
 /// The per-thread op histories plus the sorted final contents of every
-/// structure after a deterministic window-0 run of one scheme × lock
+/// structure after a deterministic run of one scheme × lock
 /// cell.
 type DifferentialState = (Vec<Vec<(OpAction, OpResponse)>>, Vec<(u64, u64)>, Vec<u64>, Vec<u64>);
 
@@ -168,7 +177,7 @@ fn differential_cell_cfg(
     tree.init(&mem);
 
     let (tab, li, tr) = (table.clone(), list.clone(), tree.clone());
-    let (hists, _) = harness::run_arc(threads, 0, htm, 9, Arc::clone(&mem), move |s| {
+    let (hists, _, _) = harness::run(threads, htm, 9, Arc::clone(&mem), move |s| {
         let tid = s.tid() as u64;
         let mut hist = Vec::with_capacity(sections);
         for k in 0..sections {
@@ -219,7 +228,7 @@ fn differential_cell_cfg(
     (hists, final_table, list.collect(&mem), tree.collect(&mem))
 }
 
-/// Differential check: at window 0, every scheme × lock cell must
+/// Differential check: every scheme × lock cell must
 /// produce exactly the op-result history and final structure state of
 /// the Standard/TTAS baseline.
 #[test]
@@ -320,7 +329,7 @@ fn lazy_fix_variants_all_conflict_progress() {
             let s = make_scheme(SchemeKind::OptSlr, lock, cfg, &mut b, threads);
             let mem = b.freeze(threads);
             let htm = HtmConfig::deterministic().with_dangerous_abort(screen);
-            let (_, mem, _) = harness::run(threads, 0, htm, 3, mem, move |st| {
+            let (_, mem, _) = harness::run(threads, htm, 3, mem, move |st| {
                 for _ in 0..ops {
                     s.execute(st, |st| {
                         let v = st.load(hot)?;
@@ -351,7 +360,7 @@ fn all_conflict_progress() {
             let s = make_scheme(scheme, lock, SchemeConfig::paper(), &mut b, threads);
             let mem = b.freeze(threads);
             let (_, mem, _) =
-                harness::run(threads, 0, HtmConfig::deterministic(), 3, mem, move |st| {
+                harness::run(threads, HtmConfig::deterministic(), 3, mem, move |st| {
                     for _ in 0..ops {
                         s.execute(st, |st| {
                             let v = st.load(hot)?;

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 /// Run `cells` through the `service_bench` sweep at host parallelism
 /// `jobs` and render its table and SERVICE metrics report.
 fn render_service_report(cells: &[ServiceCell], jobs: usize, seeds: u64) -> (String, String) {
-    let args = CliArgs { quick: true, jobs, seeds, window: 0, ..CliArgs::default() };
+    let args = CliArgs { quick: true, jobs, seeds, ..CliArgs::default() };
     let mut d = Driver::new(find("service_bench").expect("registered"), &args);
     let (_, table, report) = service_sweep(&mut d, cells);
     (table.render(), report.to_json().render())
@@ -28,10 +28,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Any slice of the quick grid renders the same artifact bytes at
-    /// `--jobs 1` and `--jobs 4`. Runs at window 0, the repo-wide
-    /// determinism convention: a larger lag window deliberately trades
-    /// byte-reproducibility for host speed (see `CliArgs::window`), so
-    /// every artifact gate — this one included — pins window 0.
+    /// `--jobs 1` and `--jobs 4`: every cell is a deterministic
+    /// simulation, so host parallelism cannot change a byte.
     #[test]
     fn service_report_is_byte_identical_across_jobs(
         start in 0usize..18,
@@ -59,8 +57,8 @@ fn burst_p999_strictly_exceeds_steady_at_equal_mean_load() {
             load: LoadScenario::Steady,
         };
         let burst_cell = ServiceCell { load: LoadScenario::Burst, ..steady_cell.clone() };
-        let steady = run_service_avg(&steady_cell, true, 0, 1);
-        let burst = run_service_avg(&burst_cell, true, 0, 1);
+        let steady = run_service_avg(&steady_cell, true, 1);
+        let burst = run_service_avg(&burst_cell, true, 1);
         let steady_p999 = steady.latency.quantile(0.999).unwrap_or(0);
         let burst_p999 = burst.latency.quantile(0.999).unwrap_or(0);
         assert!(
